@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .errors import BlaschkeLabError, MapSpecError
 from .gallery import GALLERY_NAMES
 from .mapspec import gallery_spec, parse_map_spec
+from .numerics import require_finite
 from .valence import (
     ERROR_MARK,
     OUTSIDE_MARK,
@@ -57,15 +57,14 @@ def parse_complex(text: str) -> complex:
         parts = raw.split(",")
         if len(parts) != 2:
             raise ValueError(f"cannot parse complex number from {text!r}")
-        return complex(float(parts[0]), float(parts[1]))
-    normal = raw.replace(" ", "").replace("i", "j").replace("I", "j")
-    try:
-        value = complex(normal)
-    except ValueError as err:
-        raise ValueError(f"cannot parse complex number from {text!r}") from err
-    if not (abs(value.real) < float("inf") and abs(value.imag) < float("inf")):
-        raise ValueError(f"complex number must be finite: {text!r}")
-    return value
+        value = complex(float(parts[0]), float(parts[1]))
+    else:
+        normal = raw.replace(" ", "").replace("i", "j").replace("I", "j")
+        try:
+            value = complex(normal)
+        except ValueError as err:
+            raise ValueError(f"cannot parse complex number from {text!r}") from err
+    return require_finite(value, f"complex number {text!r}")
 
 
 def _nz(x: float) -> float:
@@ -178,6 +177,10 @@ def _verdict_case(verdict: PipelineVerdict, candidate_spec, expected) -> dict:
     return case
 
 
+def _size(value, default: int) -> int:
+    return default if value is None else value
+
+
 def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
@@ -190,11 +193,12 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
 
     if suite == "theorem-a":
-        report = check_theorem_A(args.seed, args.cases or 100, args.targets or 50)
+        report = check_theorem_A(args.seed, _size(args.cases, 100), _size(args.targets, 50))
     elif suite == "theorem-b":
-        report = check_theorem_B(args.seed, args.cases or 50)
+        report = check_theorem_B(args.seed, _size(args.cases, 50))
     elif suite == "theorem-c":
-        report = check_theorem_C(args.seed, args.cases or 50, args.mobius_cases or 20)
+        report = check_theorem_C(args.seed, _size(args.cases, 50),
+                                 _size(args.mobius_cases, 20))
     elif suite == "theorem-3-2":
         report = check_theorem_3_2(k=args.k, seed=args.seed if args.seed is not None else 0)
     elif suite == "hurwitz-demo":

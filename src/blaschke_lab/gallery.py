@@ -145,7 +145,7 @@ def make_slit_power(k: int = 2) -> DiscMapHandle:
     return make_power_map(make_slit_map(), k)
 
 
-def power_preimages(w: complex, k: int, slit_radius_cap: float = None) -> list:
+def power_preimages(w: complex, k: int) -> list:
     """Preimages of w under (slit map)^k via k-th roots that avoid the slit.
 
     Constructive membership oracle: w != 0 always has at least one k-th

@@ -9,7 +9,6 @@ evaluation handles.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,17 +38,12 @@ INTERIOR_MARGIN = 1e-12
 ROOT_ANNULUS = 1e-9
 
 
-@dataclass(frozen=True)
-class DiscMapSettings:
-    preimage_residual_tol: float = 1e-8
-    recover_sup_tol: float = 1e-8
-    recover_newton_tol: float = 1e-13
-    recover_max_iter: int = 200
-    compose_probes: tuple = (0.137 + 0.271j, 0.311 - 0.177j)
-    disc_check_slack: float = 1e-9
-
-
-DEFAULT_MAP_SETTINGS = DiscMapSettings()
+PREIMAGE_RESIDUAL_TOL = 1e-8
+RECOVER_SUP_TOL = 1e-8
+RECOVER_NEWTON_TOL = 1e-13
+RECOVER_MAX_ITER = 200
+COMPOSE_PROBES = (0.137 + 0.271j, 0.311 - 0.177j)
+DISC_CHECK_SLACK = 1e-9
 
 
 def _check_unimodular(lam: complex) -> complex:
@@ -122,7 +116,7 @@ class DiscMapHandle:
         values, derivs = self._fn(z)
         if self.disc_preserving:
             interior = np.abs(z) < 1.0
-            bad = interior & (np.abs(values) >= 1.0 + DEFAULT_MAP_SETTINGS.disc_check_slack)
+            bad = interior & (np.abs(values) >= 1.0 + DISC_CHECK_SLACK)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise DiscPreservationError(
@@ -226,8 +220,7 @@ def _classify_roots(rootset: RootSet, context: str) -> RootSet:
     return RootSet(tuple(inside_r), tuple(inside_m), tuple(inside_res))
 
 
-def blaschke_preimages(b: BlaschkeProduct, w: complex,
-                       settings: DiscMapSettings = DEFAULT_MAP_SETTINGS) -> RootSet:
+def blaschke_preimages(b: BlaschkeProduct, w: complex) -> RootSet:
     """All n solutions of B(z) = w in the disc, counted with multiplicity.
 
     Solves lam * prod(z - a_j) - w * prod(1 - conj(a_j) z) = 0, a polynomial
@@ -250,10 +243,10 @@ def blaschke_preimages(b: BlaschkeProduct, w: complex,
                 f"preimage root {root!r} outside the closed disc: solver bug",
                 payload=rootset)
         value, _ = blaschke_eval(b, root)
-        if abs(value - w) > settings.preimage_residual_tol:
+        if abs(value - w) > PREIMAGE_RESIDUAL_TOL:
             raise InternalConsistencyError(
                 f"preimage residual |B(root) - w| = {abs(value - w):.3e} "
-                f"exceeds {settings.preimage_residual_tol}", payload=rootset)
+                f"exceeds {PREIMAGE_RESIDUAL_TOL}", payload=rootset)
     return _classify_roots(rootset, "blaschke_preimages")
 
 
@@ -267,8 +260,7 @@ def blaschke_critical_points(b: BlaschkeProduct) -> RootSet:
     """
     if b.degree < 1:
         raise ValueError("critical census needs degree >= 1")
-    num, den = _blaschke_polynomial_pair(b)
-    numerator = poly_sub(poly_mul(num.derivative(), den), poly_mul(num, den.derivative()))
+    numerator = critical_numerator(b)
     if numerator.degree < 1:
         census = RootSet((), (), ())
     else:
@@ -286,8 +278,7 @@ def critical_numerator(b: BlaschkeProduct) -> Polynomial:
     return poly_sub(poly_mul(num.derivative(), den), poly_mul(num, den.derivative()))
 
 
-def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct,
-                     settings: DiscMapSettings = DEFAULT_MAP_SETTINGS) -> BlaschkeProduct:
+def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
     """Structural composition outer(inner(z)) as a Blaschke product.
 
     Zeros are the inner-preimages of the outer zeros, so the degree is the
@@ -298,12 +289,12 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct,
         raise ValueError("composition needs both degrees >= 1")
     zeros = []
     for a in outer.zeros:
-        pre = blaschke_preimages(inner, a, settings)
+        pre = blaschke_preimages(inner, a)
         for root, mult in zip(pre.roots, pre.multiplicities):
             zeros.extend([root] * mult)
     candidate = BlaschkeProduct(lam=1.0 + 0j, zeros=tuple(zeros))
     lam = None
-    for probe in settings.compose_probes:
+    for probe in COMPOSE_PROBES:
         direct, _ = blaschke_eval(inner, probe)
         direct, _ = blaschke_eval(outer, direct)
         through, _ = blaschke_eval(candidate, probe)
@@ -316,16 +307,15 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct,
     return BlaschkeProduct(lam=lam, zeros=tuple(zeros))
 
 
-def _validation_grid(count: int = 200, radius: float = 0.95) -> np.ndarray:
-    """Deterministic sunflower-spiral grid over the disc."""
+def sunflower_grid(count: int, radius: float) -> np.ndarray:
+    """Deterministic sunflower-spiral grid of ``count`` points in |z| < radius."""
     m = np.arange(count)
     r = radius * np.sqrt((m + 0.5) / count)
     theta = m * (math.pi * (3.0 - math.sqrt(5.0)))
     return r * np.exp(1j * theta)
 
 
-def mobius_recover(f: DiscMapHandle,
-                   settings: DiscMapSettings = DEFAULT_MAP_SETTINGS):
+def mobius_recover(f: DiscMapHandle):
     """Recover (alpha, lam) from an opaque degree-1 handle.
 
     alpha is the zero of f found by damped Newton iteration (the minimum
@@ -341,8 +331,8 @@ def mobius_recover(f: DiscMapHandle,
     z = seed
     value, deriv = f.eval(z)
     converged = False
-    for _ in range(settings.recover_max_iter):
-        if abs(value) < settings.recover_newton_tol:
+    for _ in range(RECOVER_MAX_ITER):
+        if abs(value) < RECOVER_NEWTON_TOL:
             converged = True
             break
         if deriv == 0:
@@ -361,7 +351,7 @@ def mobius_recover(f: DiscMapHandle,
             t /= 2.0
         if not moved:
             break
-    if not converged and abs(value) >= settings.recover_newton_tol:
+    if not converged and abs(value) >= RECOVER_NEWTON_TOL:
         raise NotAnAutomorphismError(
             f"{f.descriptor}: Newton search for the zero stalled at |f| = {abs(value):.3e}")
     alpha = z
@@ -374,11 +364,11 @@ def mobius_recover(f: DiscMapHandle,
             f"{f.descriptor}: recovered constant has modulus {abs(lam):.3e}, not 1")
     lam = lam / abs(lam)
     candidate = MobiusAutomorphism(alpha=alpha, lam=lam)
-    grid = _validation_grid()
+    grid = sunflower_grid(200, 0.95)
     values, _ = f.eval_many(grid)
     model = lam * (grid - alpha) / (1.0 - np.conj(alpha) * grid)
     sup_error = float(np.max(np.abs(values - model)))
-    if sup_error > settings.recover_sup_tol:
+    if sup_error > RECOVER_SUP_TOL:
         raise NotAnAutomorphismError(
             f"{f.descriptor}: best Mobius fit misses by {sup_error:.3e}",
             sup_error=sup_error)

@@ -119,7 +119,7 @@ def _parse_gallery(data, path):
     if name == "atomic-inner":
         return make_atomic_inner()
     if name == "frostman":
-        base_node = params.get("base", params.get("base-spec"))
+        base_node = params.get("base")
         if base_node is None:
             raise MapSpecError("frostman needs a base map spec", f"{path}.params.base")
         base = parse_map_spec(base_node, f"{path}.params.base")
@@ -141,9 +141,6 @@ def _parse_gallery(data, path):
 
 def canonical(data) -> dict:
     """Round a parsed node to its canonical emission (defaults filled in)."""
-    handle = data if isinstance(data, DiscMapHandle) else None
-    if handle is not None:
-        return handle.spec
     kind = data.get("type")
     if kind == "gallery":
         name = data.get("name")

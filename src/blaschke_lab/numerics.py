@@ -72,19 +72,12 @@ class RootSet:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
-class AberthSettings:
-    """Tunable constants of the simultaneous iteration (defaults fixed)."""
-
-    tol: float = 1e-10
-    max_iter: int = 200
-    cluster_radius: float = 1e-7       # merge scale: cluster_radius * (1 + |root|)
-    init_radius_scale: float = 1.1
-    init_radius_floor: float = 1e-2    # keeps starting circle nondegenerate
-    init_phase: float = 0.4            # radians; breaks symmetric stalls
-
-
-DEFAULT_ABERTH = AberthSettings()
+ABERTH_TOL = 1e-10
+ABERTH_MAX_ITER = 200
+CLUSTER_RADIUS = 1e-7       # merge scale: CLUSTER_RADIUS * (1 + |root|)
+INIT_RADIUS_SCALE = 1.1
+INIT_RADIUS_FLOOR = 1e-2    # keeps starting circle nondegenerate
+INIT_PHASE = 0.4            # radians; breaks symmetric stalls
 
 
 def poly_from_roots(roots, leading: complex) -> Polynomial:
@@ -168,8 +161,7 @@ def _merge_clusters(points, cluster_radius):
     return merged
 
 
-def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None,
-                 settings: AberthSettings = DEFAULT_ABERTH) -> RootSet:
+def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None) -> RootSet:
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Roots at the origin are deflated exactly before iterating.  Iterates
@@ -177,8 +169,8 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None,
     multiplicity.  Raises SolverFailure (carrying the best iterate and
     residuals) if the iteration does not settle within ``max_iter`` sweeps.
     """
-    tol = settings.tol if tol is None else tol
-    max_iter = settings.max_iter if max_iter is None else max_iter
+    tol = ABERTH_TOL if tol is None else tol
+    max_iter = ABERTH_MAX_ITER if max_iter is None else max_iter
     if p.degree < 1:
         raise ValueError("aberth_roots needs degree >= 1")
     if tol <= 0:
@@ -197,8 +189,8 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None,
     iterates = []
     if n > 0:
         r0 = abs(deflated[0] / deflated[-1]) ** (1.0 / n)
-        radius = settings.init_radius_scale * max(r0, settings.init_radius_floor)
-        z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + settings.init_phase))
+        radius = INIT_RADIUS_SCALE * max(r0, INIT_RADIUS_FLOOR)
+        z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE))
                       for m in range(n)])
         frozen = np.zeros(n, dtype=bool)
         for _ in range(max_iter):
@@ -240,7 +232,7 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None,
         iterates = list(z)
 
     points = [0j] * k0 + iterates
-    merged = _merge_clusters(points, settings.cluster_radius)
+    merged = _merge_clusters(points, CLUSTER_RADIUS)
     roots = tuple(r for r, _ in merged)
     mults = tuple(m for _, m in merged)
     residuals = tuple(float(abs(poly_eval(p, r)[0])) for r in roots)

@@ -10,8 +10,6 @@ inside |z| < r, with multiplicity.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,34 +28,27 @@ OUTSIDE_MARK = -1
 ERROR_MARK = -2
 
 
-@dataclass(frozen=True)
-class WindingSettings:
-    initial_nodes: int = 64
-    jump_threshold: float = math.pi / 2.0
-    proximity_rel: float = 1e-9     # floor relative to |f(z)| + |w| per node
-    dip_ratio: float = 1e-3         # refine steps with a sharp modulus dip
-    chord_ratio: float = 0.8        # refine steps whose value moves further
-    #                                 than its own distance from the origin:
-    #                                 guards against aliased full phase turns
-    max_nodes: int = 2 ** 20
-    residual_max: float = 1e-6
+# Winding engine.
+INITIAL_NODES = 64
+JUMP_THRESHOLD = math.pi / 2.0
+PROXIMITY_REL = 1e-9     # floor relative to |f(z)| + |w| per node
+DIP_RATIO = 1e-3         # refine steps with a sharp modulus dip
+CHORD_RATIO = 0.8        # refine steps whose value moves further than its own
+#                          distance from the origin: guards against aliased
+#                          full phase turns
+MAX_NODES = 2 ** 20
+RESIDUAL_MAX = 1e-6
 
-
-@dataclass(frozen=True)
-class ValenceSettings:
-    schedule_depth: int = 20                   # radii 1 - 2^-j, j = 1..depth
-    perturb_base: float = 1e-4
-    perturb_steps: tuple = (1, -1, 2, -2, 3)
-    stop_run: int = 3                          # consecutive equal counts
-    stop_min_radius: float = 1.0 - 2.0 ** -12  # only trust agreement out here
-
-
-DEFAULT_WINDING = WindingSettings()
-DEFAULT_VALENCE = ValenceSettings()
+# Valence scan.
+SCHEDULE_DEPTH = 20                   # radii 1 - 2^-j, j = 1..depth
+PERTURB_BASE = 1e-4
+PERTURB_STEPS = (1, -1, 2, -2, 3)
+STOP_RUN = 3                          # consecutive equal counts
+STOP_MIN_RADIUS = 1.0 - 2.0 ** -12    # only trust agreement out here
 
 
 def default_schedule(depth: int = None) -> tuple:
-    depth = DEFAULT_VALENCE.schedule_depth if depth is None else depth
+    depth = SCHEDULE_DEPTH if depth is None else depth
     return tuple(1.0 - 2.0 ** -j for j in range(1, depth + 1))
 
 
@@ -108,8 +99,7 @@ def _cell_axis(resolution: int) -> np.ndarray:
     return -1.0 + (np.arange(resolution) + 0.5) * 2.0 / resolution
 
 
-def winding_number(f, w: complex, r: float, initial_nodes: int = None,
-                   settings: WindingSettings = DEFAULT_WINDING):
+def winding_number(f, w: complex, r: float, initial_nodes: int = None):
     """Winding count of f - w on |z| = r and its distance to an integer.
 
     Raises ContourProximityError when the image curve passes too close to
@@ -119,7 +109,7 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None,
     w = require_finite(w, "w")
     if not 0.0 < r < 1.0:
         raise ValueError(f"contour radius must lie in (0, 1), got {r!r}")
-    nodes = settings.initial_nodes if initial_nodes is None else int(initial_nodes)
+    nodes = INITIAL_NODES if initial_nodes is None else int(initial_nodes)
     if nodes < 16:
         raise ValueError("initial_nodes must be at least 16")
 
@@ -130,7 +120,7 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None,
         z = r * np.exp(2j * math.pi * ts)
         values, derivs = f.eval_many(z)
         v = values - w
-        floors = settings.proximity_rel * (np.abs(values) + abs(w))
+        floors = PROXIMITY_REL * (np.abs(values) + abs(w))
         too_close = (np.abs(v) < floors) | (np.abs(v) == 0.0)
         if too_close.any():
             i = int(np.argmax(too_close))
@@ -158,15 +148,15 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None,
         chord = np.abs(v_next - v)
         speed_next = np.concatenate([speed[1:], speed[:1]])
         drift = dt * np.maximum(speed, speed_next)
-        bad = ((np.abs(dphi) > settings.jump_threshold)
-               | (lo < settings.dip_ratio * hi)
-               | (chord > settings.chord_ratio * lo)
-               | (drift > settings.jump_threshold))
+        bad = ((np.abs(dphi) > JUMP_THRESHOLD)
+               | (lo < DIP_RATIO * hi)
+               | (chord > CHORD_RATIO * lo)
+               | (drift > JUMP_THRESHOLD))
         if not bad.any():
             break
-        if len(t) + int(bad.sum()) > settings.max_nodes:
+        if len(t) + int(bad.sum()) > MAX_NODES:
             raise RefinementOverflowError(
-                f"contour refinement needs more than {settings.max_nodes} nodes")
+                f"contour refinement needs more than {MAX_NODES} nodes")
         idx = np.nonzero(bad)[0]
         t_hi = np.where(idx + 1 < len(t), t[(idx + 1) % len(t)], 1.0)
         t_mid = 0.5 * (t[idx] + t_hi)
@@ -183,7 +173,7 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None,
     wind = total / TWO_PI
     count = int(round(wind))
     residual = abs(wind - count)
-    if residual > settings.residual_max:
+    if residual > RESIDUAL_MAX:
         raise InternalConsistencyError(
             f"winding {wind!r} is {residual:.3e} from an integer")
     if count < 0:
@@ -192,17 +182,15 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None,
     return count, residual
 
 
-def _winding_with_perturbation(f, w, r, delta, initial_nodes=None,
-                               winding: WindingSettings = DEFAULT_WINDING,
-                               steps=DEFAULT_VALENCE.perturb_steps):
+def _winding_with_perturbation(f, w, r, delta):
     """Try r, then the jitter ladder r + k*delta; returns (count, residual, r)."""
     last_error = None
-    for k in (0,) + tuple(steps):
+    for k in (0,) + PERTURB_STEPS:
         radius = r + k * delta
         if not 0.0 < radius < 1.0 - 1e-12:
             continue
         try:
-            count, residual = winding_number(f, w, radius, initial_nodes, winding)
+            count, residual = winding_number(f, w, radius)
             return count, residual, radius
         except ContourProximityError as err:
             last_error = err
@@ -210,14 +198,12 @@ def _winding_with_perturbation(f, w, r, delta, initial_nodes=None,
         "no admissible perturbed radius", radius=r)
 
 
-def valence_at(f, w: complex, schedule=None,
-               settings: ValenceSettings = DEFAULT_VALENCE,
-               winding: WindingSettings = DEFAULT_WINDING) -> ValenceReport:
+def valence_at(f, w: complex, schedule=None) -> ValenceReport:
     """Valence report for f at w over an increasing radius schedule.
 
     Contour-proximity failures perturb the radius by +-1e-4 * 2^-j (up to
-    five jitters).  The scan stops early once ``stop_run`` consecutive
-    counts agree at radii beyond ``stop_min_radius``; agreement closer to
+    five jitters).  The scan stops early once ``STOP_RUN`` consecutive
+    counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
     the centre proves nothing because preimages may still hide outside.
     """
     w = require_finite(w, "w")
@@ -231,23 +217,21 @@ def valence_at(f, w: complex, schedule=None,
     stabilized = False
     failed_radius = None
     for j, r in enumerate(radii, start=1):
-        delta = settings.perturb_base * 2.0 ** -j
+        delta = PERTURB_BASE * 2.0 ** -j
         try:
-            count, residual, radius = _winding_with_perturbation(
-                f, w, r, delta, winding=winding, steps=settings.perturb_steps)
+            count, residual, radius = _winding_with_perturbation(f, w, r, delta)
         except ContourProximityError:
             failed_radius = r
             break
         counts.append(count)
         used.append(radius)
         residuals.append(residual)
-        run = settings.stop_run
-        if (len(counts) >= run and len(set(counts[-run:])) == 1
-                and all(x >= settings.stop_min_radius for x in used[-run:])):
+        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
+                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
             stabilized = True
             break
-    if failed_radius is None and len(counts) >= settings.stop_run:
-        stabilized = stabilized or len(set(counts[-settings.stop_run:])) == 1
+    if failed_radius is None and len(counts) >= STOP_RUN:
+        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
     return ValenceReport(
         w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
         stabilized=stabilized and failed_radius is None,
@@ -268,25 +252,12 @@ def valence_profile(f, w: complex, radii) -> list:
     return out
 
 
-def _thread_count(threads=None) -> int:
-    if threads is None:
-        raw = os.environ.get("BLASCHKE_LAB_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, threads)
-
-
-def valence_heatmap(f, resolution: int, radius: float, threads=None,
-                    settings: ValenceSettings = DEFAULT_VALENCE) -> HeatmapGrid:
+def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapGrid:
     """Winding count at every grid cell w inside |w| < radius - 1e-3.
 
-    Output is deterministic for fixed inputs regardless of the worker
-    count: cells are pure functions of (f, w, radius) and are written by
-    index.  Per-cell failures become ERROR_MARK, never an exception.
+    Cells are filled in order on the calling thread; ``threads`` is
+    accepted for compatibility and ignored.  Per-cell failures become
+    ERROR_MARK, never an exception.
     """
     if not 16 <= resolution <= 4096:
         raise ValueError("resolution must lie in [16, 4096]")
@@ -295,34 +266,21 @@ def valence_heatmap(f, resolution: int, radius: float, threads=None,
     margin = radius - 1e-3
     xs = _cell_axis(resolution)
     ys = -_cell_axis(resolution)  # top row first
-    delta = settings.perturb_base * (1.0 - radius)
+    delta = PERTURB_BASE * (1.0 - radius)
 
-    def fill_row(row):
-        out = np.empty(resolution, dtype=np.int16)
-        y = ys[row]
+    cells = np.empty((resolution, resolution), dtype=np.int16)
+    for row, y in enumerate(ys):
         for col, x in enumerate(xs):
             w = complex(x, y)
             if abs(w) >= margin:
-                out[col] = OUTSIDE_MARK
+                cells[row, col] = OUTSIDE_MARK
                 continue
             try:
-                count, _, _ = _winding_with_perturbation(
-                    f, w, radius, delta, steps=settings.perturb_steps)
-                out[col] = count
+                count, _, _ = _winding_with_perturbation(f, w, radius, delta)
+                cells[row, col] = count
             except (ContourProximityError, RefinementOverflowError,
                     InternalConsistencyError):
-                out[col] = ERROR_MARK
-        return out
-
-    cells = np.empty((resolution, resolution), dtype=np.int16)
-    workers = _thread_count(threads)
-    if workers == 1:
-        for row in range(resolution):
-            cells[row] = fill_row(row)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for row, data in enumerate(pool.map(fill_row, range(resolution))):
-                cells[row] = data
+                cells[row, col] = ERROR_MARK
     return HeatmapGrid(resolution=resolution, radius=radius, cells=cells)
 
 

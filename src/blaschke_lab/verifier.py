@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,13 +40,17 @@ from .maps import (
     blaschke_preimages,
     mobius_handle,
     mobius_recover,
+    sunflower_grid,
 )
 from .valence import default_schedule, valence_at, valence_heatmap, valence_profile
 
 INNER_MEAN_THRESHOLD = 0.99
 INNER_PROBE_RADIUS = 1.0 - 1e-6
+BOUNDARY_SAMPLES = 512
 DERIVATIVE_FLOOR = 1e-6
 DERIVATIVE_GRID_RADIUS = 0.999
+DERIVATIVE_GRID_RADII = 200
+DERIVATIVE_GRID_ANGLES = 50
 
 
 @dataclass(frozen=True)
@@ -106,39 +110,32 @@ def _random_blaschke(rng, degree: int, zero_radius: float = 0.95) -> BlaschkePro
     return BlaschkeProduct(lam=lam, zeros=zeros)
 
 
-def _spec_of(b: BlaschkeProduct) -> dict:
-    return {"type": "blaschke", "lambda": [b.lam.real, b.lam.imag],
-            "zeros": [[a.real, a.imag] for a in b.zeros]}
-
-
-def boundary_modulus_stats(f: DiscMapHandle, radius: float = INNER_PROBE_RADIUS,
-                           samples: int = 512) -> dict:
-    """Mean/min/max of |f| on the circle of the given radius.
+def boundary_modulus_stats(f: DiscMapHandle) -> dict:
+    """Mean/min/max of |f| on the circle |z| = INNER_PROBE_RADIUS.
 
     A diagnostic, not a proof: no finite sampling can certify an a.e.
     radial limit.  Sample angles are offset half a step so the probe never
     sits exactly on a boundary singularity direction.
     """
-    theta = 2.0 * math.pi * (np.arange(samples) + 0.5) / samples
-    values, _ = f.eval_many(radius * np.exp(1j * theta))
+    theta = 2.0 * math.pi * (np.arange(BOUNDARY_SAMPLES) + 0.5) / BOUNDARY_SAMPLES
+    values, _ = f.eval_many(INNER_PROBE_RADIUS * np.exp(1j * theta))
     mags = np.abs(values)
     return {"mean": float(np.mean(mags)), "min": float(np.min(mags)),
             "max": float(np.max(mags))}
 
 
-def derivative_grid(radius: float = DERIVATIVE_GRID_RADIUS,
-                    n_radii: int = 200, n_angles: int = 50) -> np.ndarray:
+def derivative_grid() -> np.ndarray:
     """Deterministic 10^4-point polar grid; the angle count is kept coarse
     so boundary-contact points of slit-type maps (where f' decays cubically)
     fall midway between spokes instead of on one."""
-    radii = radius * (np.arange(n_radii) + 0.5) / n_radii
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    radii = (DERIVATIVE_GRID_RADIUS * (np.arange(DERIVATIVE_GRID_RADII) + 0.5)
+             / DERIVATIVE_GRID_RADII)
+    angles = 2.0 * math.pi * np.arange(DERIVATIVE_GRID_ANGLES) / DERIVATIVE_GRID_ANGLES
     return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
 
 
-def min_abs_derivative(f: DiscMapHandle, grid: np.ndarray | None = None) -> float:
-    grid = derivative_grid() if grid is None else grid
-    _, derivs = f.eval_many(grid)
+def min_abs_derivative(f: DiscMapHandle) -> float:
+    _, derivs = f.eval_many(derivative_grid())
     return float(np.min(np.abs(derivs)))
 
 
@@ -156,7 +153,7 @@ def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> Su
         degree = int(rng.integers(1, 7))
         b = _random_blaschke(rng, degree)
         handle = blaschke_handle(b)
-        spec = _spec_of(b)
+        spec = handle.spec
         for j in range(n_targets):
             w = _sample_disc(rng, 0.9)
             record = {"case": len(cases), "kind": "blaschke-forward",
@@ -212,7 +209,7 @@ def check_theorem_B(seed: int, n_pairs: int = 50) -> SuiteReport:
         outer = _random_blaschke(rng, int(rng.integers(1, 4)))
         inner = _random_blaschke(rng, int(rng.integers(1, 4)))
         record = {"case": i, "kind": "composition",
-                  "outer": _spec_of(outer), "inner": _spec_of(inner)}
+                  "outer": blaschke_handle(outer).spec, "inner": blaschke_handle(inner).spec}
         try:
             composed = blaschke_compose(outer, inner)
             probes = [_sample_disc(rng, 0.8) for _ in range(50)]
@@ -250,7 +247,7 @@ def check_theorem_C(seed: int, n_products: int = 50, n_mobius: int = 20) -> Suit
     for i in range(n_products):
         degree = int(rng.integers(2, 7))
         b = _random_blaschke(rng, degree)
-        record = {"case": i, "kind": "critical-census", "map": _spec_of(b),
+        record = {"case": i, "kind": "critical-census", "map": blaschke_handle(b).spec,
                   "degree": degree}
         try:
             census = blaschke_critical_points(b)
@@ -297,12 +294,6 @@ class PipelineVerdict:
     detail: str = ""
 
 
-def _pipeline_w_sample(count: int = 100, radius: float = 0.9) -> np.ndarray:
-    m = np.arange(count)
-    r = radius * np.sqrt((m + 0.5) / count)
-    return r * np.exp(1j * m * (math.pi * (3.0 - math.sqrt(5.0))))
-
-
 def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> PipelineVerdict:
     """Certification pipeline: boundary-modulus diagnostic, bounded valence,
     nowhere-vanishing derivative, then automorphism recovery.
@@ -317,7 +308,7 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
             verdict="not-inner", boundary_mean=stats["mean"],
             detail=f"mean boundary modulus {stats['mean']:.4f} <= {INNER_MEAN_THRESHOLD}")
 
-    for w in _pipeline_w_sample():
+    for w in sunflower_grid(100, 0.9):
         try:
             report = valence_at(candidate, complex(w))
         except BlaschkeLabError as err:

@@ -58,6 +58,17 @@ def test_eval_exterior_point_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--map", "half", "--z", "nan,0"),
+    ("valence", "--map", "half", "--w", "inf,1"),
+])
+def test_nonfinite_pair_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_valence_square(capsys):
     code, out, _ = run_cli(capsys, "valence",
                            "--map", '{"type":"blaschke","lambda":[1,0],"zeros":[[0,0],[0,0]]}',
@@ -117,6 +128,20 @@ def test_verify_requires_seed(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem-a")
     assert code == 2
     assert "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theorem-a", "--cases", "0", "--targets", "1"),
+    ("theorem-a", "--cases", "1", "--targets", "0"),
+    ("theorem-b", "--cases", "0"),
+    ("theorem-c", "--cases", "0", "--mobius-cases", "1"),
+    ("theorem-c", "--cases", "1", "--mobius-cases", "0"),
+])
+def test_verify_zero_size_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "positive" in err
 
 
 def test_verify_unknown_suite(capsys):

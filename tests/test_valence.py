@@ -74,14 +74,14 @@ def test_winding_proximity_detection():
         winding_number(CUBE, 0.125, 0.5)
 
 
-def test_winding_refinement_overflow():
+def test_winding_refinement_overflow(monkeypatch):
+    from blaschke_lab import valence
     from blaschke_lab.errors import RefinementOverflowError
     from blaschke_lab.gallery import make_atomic_inner
-    from blaschke_lab.valence import WindingSettings
 
-    tight = WindingSettings(max_nodes=128)
+    monkeypatch.setattr(valence, "MAX_NODES", 128)
     with pytest.raises(RefinementOverflowError):
-        winding_number(make_atomic_inner(), math.exp(-1), 0.999, settings=tight)
+        winding_number(make_atomic_inner(), math.exp(-1), 0.999)
 
 
 def test_valence_at_records_failing_radius():
