@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     ContourProximityError,
+    DomainError,
     InternalConsistencyError,
     RefinementOverflowError,
 )
@@ -26,6 +27,8 @@ TWO_PI = 2.0 * math.pi
 # Cells of a heatmap that fall outside the queried disc / failed to resolve.
 OUTSIDE_MARK = -1
 ERROR_MARK = -2
+CELL_ERRORS = (ContourProximityError, RefinementOverflowError,
+               InternalConsistencyError, DomainError)
 
 
 # Winding engine.
@@ -37,6 +40,7 @@ CHORD_RATIO = 0.8        # refine steps whose value moves further than its own
 #                          distance from the origin: guards against aliased
 #                          full phase turns
 MAX_NODES = 2 ** 20
+WAVE_NODES = 1024        # admit contours into a wave while live nodes fit
 RESIDUAL_MAX = 1e-6
 
 # Valence scan.
@@ -99,12 +103,274 @@ def _cell_axis(resolution: int) -> np.ndarray:
     return -1.0 + (np.arange(resolution) + 0.5) * 2.0 / resolution
 
 
+def _settle(total: float):
+    """Count and residual from a contour's phase sum, or the error it raises."""
+    wind = total / TWO_PI
+    count = int(round(wind))
+    residual = abs(wind - count)
+    if residual > RESIDUAL_MAX:
+        return InternalConsistencyError(
+            f"winding {wind!r} is {residual:.3e} from an integer")
+    if count < 0:
+        return InternalConsistencyError(
+            f"negative winding {count} for a holomorphic map")
+    return count, residual
+
+
+def _unwrap(outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _evaluate(f, z, sizes):
+    """``f.eval_many`` over consecutive blocks of z, each as if called alone.
+
+    Blocks of two or more nodes share one call.  A one-node block gets its
+    own call: numpy reduces a (degree, 1) Blaschke block with another
+    summation kernel than a wide block, which moves the last bits.  When
+    a call shared by several blocks raises (maps raise for a whole batch),
+    every block is evaluated on its own so that each error lands on the
+    contour that causes it.  Returns values, derivatives and
+    {block: exception}.
+    """
+    wide = (sizes > 1).nonzero()[0]
+    alone = (sizes == 1).nonzero()[0]
+    shared = np.repeat(sizes > 1, sizes) if len(alone) else slice(None)
+    batch, errors = None, {}
+    if len(wide):
+        try:
+            batch = f.eval_many(z[shared])
+        except Exception as err:
+            if len(wide) == 1:
+                errors[wide[0]] = err
+            else:
+                alone = np.arange(len(sizes))
+    if batch is not None and not len(alone):
+        values, derivs = batch
+        return values, derivs, errors
+    values = np.zeros(len(z), dtype=complex)
+    derivs = np.zeros(len(z), dtype=complex)
+    if batch is not None:
+        values[shared], derivs[shared] = batch
+    ends = sizes.cumsum()
+    for b in alone:
+        part = slice(ends[b] - sizes[b], ends[b])
+        try:
+            values[part], derivs[part] = f.eval_many(z[part])
+        except Exception as err:
+            errors[b] = err
+    return values, derivs, errors
+
+
+def _node_error(ts, values, derivs, gap, floors, r):
+    """The error of a contour whose fresh nodes are non-finite or too close."""
+    broken = ~(np.isfinite(values) & np.isfinite(derivs))
+    if broken.any():
+        i = int(np.argmax(broken))
+        return DomainError(
+            f"f or f' is not finite at the contour node t={ts[i]:.6f} "
+            f"on |z| = {r!r}")
+    mags = np.abs(gap)
+    i = int(np.argmax((mags < floors) | (mags == 0.0)))
+    return ContourProximityError(
+        f"contour node at t={ts[i]:.6f} has |f-w| = {abs(gap[i]):.3e}, "
+        "below the proximity floor", radius=r,
+        min_distance=float(np.min(mags)))
+
+
+def _bisect(t, v, speed, sizes):
+    """One refinement pass over the contours laid end to end in t, v, speed.
+
+    Returns the number of flagged steps of each contour, (contour, phase
+    sum) for each contour with none, and the midpoint of every flagged step
+    with the index it is inserted before.  The closing step of a contour
+    ends at its first node, t = 0, read as 1.
+    """
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    nxt = np.arange(1, len(t) + 1)
+    nxt[ends - 1] = starts
+    t_next = t[nxt]
+    t_next[ends - 1] += 1.0
+    # the peak RSS of a wave is set here: each temporary goes as soon as it
+    # is used, and both masks share one buffer of at least 1 KiB, since
+    # numpy keeps up to seven freed buffers of every smaller size
+    bad, test = np.empty((2, max(len(t), 512)), dtype=bool)[:, :len(t)]
+    v_next = v[nxt]
+    with np.errstate(invalid="ignore"):
+        ratio = v_next / v
+        dphi = np.arctan2(ratio.imag, ratio.real)
+    del ratio
+    np.greater(np.abs(dphi), JUMP_THRESHOLD, out=bad)
+    mags = np.abs(v)
+    mags_next = mags[nxt]
+    lo = np.minimum(mags, mags_next)
+    bad |= np.less(lo, DIP_RATIO * np.maximum(mags, mags_next), out=test)
+    del mags, mags_next
+    bad |= np.greater(np.abs(v_next - v), CHORD_RATIO * lo, out=test)
+    del v_next, lo
+    bad |= np.greater((t_next - t) * np.maximum(speed, speed[nxt]),
+                      JUMP_THRESHOLD, out=test)
+    nbad = np.add.reduceat(bad, starts, dtype=np.intp)
+    # np.sum on a contour's own slice keeps the pairwise order of summing
+    # that contour alone
+    sums = [(c, float(np.sum(dphi[starts[c]:ends[c]])))
+            for c in (nbad == 0).nonzero()[0]]
+    idx = bad.nonzero()[0]
+    t_hi = t_next[idx]
+    t_mid = 0.5 * (t[idx] + t_hi)
+    # a midpoint goes after every node of its contour that is <= it, as a
+    # stable argsort of (nodes, midpoints) orders it: that is idx + 1
+    # unless it rounded onto its right end
+    pos = idx + 1
+    for k in (t_mid == t_hi).nonzero()[0]:
+        end = ends[np.searchsorted(ends, idx[k], side="right")]
+        while pos[k] < end and t[pos[k]] <= t_mid[k]:
+            pos[k] += 1
+    return nbad, sums, t_mid, pos
+
+
+def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
+    """Winding count of f - w on |z| = r for each w, r in ``zip(ws, rs)``.
+
+    Each entry is ``(count, residual)`` or the exception that refining the
+    contour on its own raises; the bits are the same either way.  Contours
+    advance in lock-step: one round bisects the flagged steps of every live
+    contour, and one ``f.eval_many`` call evaluates the new midpoints of all
+    of them plus the initial nodes of contours admitted this round.  New
+    contours are admitted while the live nodes plus each newcomer's
+    projected size (the mean final size of the contours already resolved)
+    stay within WAVE_NODES.
+    """
+    out = [None] * len(rs)
+    radius = np.array(rs, dtype=float)
+    valid = (0.0 < radius) & (radius < 1.0)
+    for j in (~valid).nonzero()[0]:
+        out[j] = ValueError(f"contour radius must lie in (0, 1), got {rs[j]!r}")
+    queue = valid.nonzero()[0]
+    if not len(queue):
+        return out
+    target = np.array(ws, dtype=complex)
+    target_abs = np.array([abs(w) for w in ws])
+    # phase speed |d arg(f - w)/dt| <= 2 pi r |f'| / |f - w| at a node; it
+    # bounds how far the argument can drift across an unseen arc
+    rate = TWO_PI * radius
+    grid = np.arange(initial_nodes, dtype=float) / initial_nodes
+
+    # live contours, in flat order; their nodes sorted by (contour, t)
+    ids = np.empty(0, dtype=np.intp)
+    sizes = np.empty(0, dtype=np.intp)
+    t = np.empty(0)
+    v = np.empty(0, dtype=complex)
+    speed = np.empty(0)
+    resolved = resolved_nodes = queued = 0
+    while len(ids) or queued < len(queue):
+        grow = np.zeros(0, dtype=bool)
+        growth = nbad = pos = np.empty(0, dtype=np.intp)
+        t_mid = np.empty(0)
+        if len(ids):
+            nbad, sums, t_mid, pos = _bisect(t, v, speed, sizes)
+            for c, total in sums:
+                out[ids[c]] = _settle(total)
+                resolved += 1
+                resolved_nodes += int(sizes[c])
+            grow = nbad > 0
+            over = (sizes + nbad > MAX_NODES).nonzero()[0]
+            if len(over):
+                for c in over:
+                    out[ids[c]] = RefinementOverflowError(
+                        f"contour refinement needs more than {MAX_NODES} nodes")
+                grow[over] = False
+                steps = np.repeat(grow, nbad)
+                t_mid, pos = t_mid[steps], pos[steps]
+            growth = nbad[grow]
+
+        live = int(np.sum(sizes[grow] + growth))
+        projected = resolved_nodes / resolved if resolved else initial_nodes
+        admitted = []
+        while queued < len(queue) and (live + projected <= WAVE_NODES
+                                       or not (live or admitted)):
+            admitted.append(queue[queued])
+            queued += 1
+            live += projected
+        if not (len(growth) or admitted):
+            break
+
+        n_mid = len(t_mid)
+        owners = np.concatenate([ids[grow], np.array(admitted, dtype=np.intp)])
+        block_sizes = np.concatenate(
+            [growth, np.full(len(admitted), initial_nodes, dtype=np.intp)])
+        ts = np.concatenate([t_mid] + [grid] * len(admitted))
+        owner = np.repeat(owners, block_sizes)
+        values, derivs, errors = _evaluate(
+            f, radius[owner] * np.exp(2j * math.pi * ts), block_sizes)
+        gap = values - target[owner]
+        gap_abs = np.abs(gap)
+        floors = np.abs(values)
+        floors += target_abs[owner]
+        floors *= PROXIMITY_REL
+        speed_new = np.abs(derivs)
+        speed_new *= rate[owner]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed_new /= gap_abs
+        keep = np.ones(len(owners), dtype=bool)
+        if errors or not (np.all(gap_abs >= floors) and np.all(gap_abs > 0.0)
+                          and np.isfinite(values).all()
+                          and np.isfinite(derivs).all()):
+            flagged = ((gap_abs < floors) | (gap_abs == 0.0)
+                       | ~np.isfinite(values) | ~np.isfinite(derivs))
+            block_ends = block_sizes.cumsum()
+            block_starts = block_ends - block_sizes
+            suspects = set(errors).union(
+                np.add.reduceat(flagged, block_starts).nonzero()[0])
+            for b in sorted(suspects):
+                part = slice(block_starts[b], block_ends[b])
+                out[owners[b]] = errors.get(b) or _node_error(
+                    ts[part], values[part], derivs[part], gap[part],
+                    floors[part], rs[owners[b]])
+                keep[b] = False
+        del values, derivs, owner, gap_abs, floors
+
+        # next round: the nodes of the contours still refining with their
+        # midpoints inserted at pos, then the nodes of new contours
+        n_grow = len(growth)
+        kept = grow
+        mids = np.arange(n_mid)
+        fresh = np.arange(n_mid, len(ts))
+        if not keep.all():
+            kept = grow.copy()
+            kept[grow] = keep[:n_grow]
+            mids = np.repeat(keep[:n_grow], growth).nonzero()[0]
+            fresh = np.repeat(keep[n_grow:], initial_nodes).nonzero()[0] + n_mid
+        olds = np.arange(len(t))
+        if not kept.all():
+            # the node indices of the kept contours, range by range
+            runs = sizes[kept]
+            olds = np.arange(runs.sum()) + np.repeat(
+                (sizes.cumsum() - sizes)[kept] - (runs.cumsum() - runs), runs)
+        at = pos[mids]
+        source = np.empty(len(olds) + len(mids) + len(fresh), dtype=np.intp)
+        source[np.arange(len(olds)) + np.searchsorted(at, olds, side="right")] = olds
+        source[np.searchsorted(olds, at) + np.arange(len(at))] = mids + len(t)
+        source[len(olds) + len(at):] = fresh + len(t)
+        t = np.concatenate([t, ts])[source]
+        v = np.concatenate([v, gap])[source]
+        speed = np.concatenate([speed, speed_new])[source]
+        ids = np.concatenate([ids[kept], owners[n_grow:][keep[n_grow:]]])
+        sizes = np.concatenate([(sizes + nbad)[kept],
+                                np.full(int(keep[n_grow:].sum()), initial_nodes,
+                                        dtype=np.intp)])
+    return out
+
+
 def winding_number(f, w: complex, r: float, initial_nodes: int = None):
     """Winding count of f - w on |z| = r and its distance to an integer.
 
     Raises ContourProximityError when the image curve passes too close to
-    w (the caller should perturb r) and RefinementOverflowError when the
-    adaptive subdivision exceeds its node budget.
+    w (the caller should perturb r), RefinementOverflowError when the
+    adaptive subdivision exceeds its node budget and DomainError when f or
+    f' is not finite at a node.
     """
     w = require_finite(w, "w")
     if not 0.0 < r < 1.0:
@@ -112,90 +378,81 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None):
     nodes = INITIAL_NODES if initial_nodes is None else int(initial_nodes)
     if nodes < 16:
         raise ValueError("initial_nodes must be at least 16")
+    return _unwrap(_wind(f, [w], [r], nodes)[0])
 
-    # work in circle fractions t in [0, 1); the closing step wraps to t=0
-    t = np.arange(nodes, dtype=float) / nodes
 
-    def evaluate(ts):
-        z = r * np.exp(2j * math.pi * ts)
-        values, derivs = f.eval_many(z)
-        v = values - w
-        floors = PROXIMITY_REL * (np.abs(values) + abs(w))
-        too_close = (np.abs(v) < floors) | (np.abs(v) == 0.0)
-        if too_close.any():
-            i = int(np.argmax(too_close))
-            raise ContourProximityError(
-                f"contour node at t={ts[i]:.6f} has |f-w| = {abs(v[i]):.3e}, "
-                "below the proximity floor", radius=r,
-                min_distance=float(np.min(np.abs(v))))
-        # phase speed |d arg(f - w)/dt| <= 2 pi r |f'| / |f - w| at the node;
-        # it bounds how far the argument can drift across an unseen arc
-        speed = TWO_PI * r * np.abs(derivs) / np.abs(v)
-        return v, speed
+def _wave(f, ws, rs) -> list:
+    """``_wind`` outcomes for one wave of contours.
 
-    v, speed = evaluate(t)
-    while True:
-        v_next = np.concatenate([v[1:], v[:1]])
-        with np.errstate(invalid="ignore"):
-            dphi = np.angle(v_next / v)
-        dt = np.empty_like(t)
-        dt[:-1] = t[1:] - t[:-1]
-        dt[-1] = 1.0 + t[0] - t[-1]
-        mags = np.abs(v)
-        mags_next = np.concatenate([mags[1:], mags[:1]])
-        lo = np.minimum(mags, mags_next)
-        hi = np.maximum(mags, mags_next)
-        chord = np.abs(v_next - v)
-        speed_next = np.concatenate([speed[1:], speed[:1]])
-        drift = dt * np.maximum(speed, speed_next)
-        bad = ((np.abs(dphi) > JUMP_THRESHOLD)
-               | (lo < DIP_RATIO * hi)
-               | (chord > CHORD_RATIO * lo)
-               | (drift > JUMP_THRESHOLD))
-        if not bad.any():
+    A wave of one contour is a ``winding_number`` call, so that tools which
+    wrap that public name (the benchmark tracer) still see one-contour work.
+    """
+    if len(rs) != 1:
+        return _wind(f, ws, rs)
+    try:
+        return [winding_number(f, ws[0], rs[0])]
+    except Exception as err:
+        return [err]
+
+
+def _first_wave(radii) -> list:
+    """Schedule radii up to the first index at which the stop rule can fire."""
+    for i in range(STOP_RUN - 1, len(radii)):
+        if radii[i - STOP_RUN + 1] >= STOP_MIN_RADIUS:
+            radii = radii[:i + 1]
             break
-        if len(t) + int(bad.sum()) > MAX_NODES:
-            raise RefinementOverflowError(
-                f"contour refinement needs more than {MAX_NODES} nodes")
-        idx = np.nonzero(bad)[0]
-        t_hi = np.where(idx + 1 < len(t), t[(idx + 1) % len(t)], 1.0)
-        t_mid = 0.5 * (t[idx] + t_hi)
-        v_mid, speed_mid = evaluate(t_mid)
-        t = np.concatenate([t, t_mid])
-        v = np.concatenate([v, v_mid])
-        speed = np.concatenate([speed, speed_mid])
-        order = np.argsort(t, kind="stable")
-        t = t[order]
-        v = v[order]
-        speed = speed[order]
-
-    total = float(np.sum(dphi))
-    wind = total / TWO_PI
-    count = int(round(wind))
-    residual = abs(wind - count)
-    if residual > RESIDUAL_MAX:
-        raise InternalConsistencyError(
-            f"winding {wind!r} is {residual:.3e} from an integer")
-    if count < 0:
-        raise InternalConsistencyError(
-            f"negative winding {count} for a holomorphic map")
-    return count, residual
+    return [r for r in radii if r < 1.0 - 1e-12]
 
 
-def _winding_with_perturbation(f, w, r, delta):
-    """Try r, then the jitter ladder r + k*delta; returns (count, residual, r)."""
-    last_error = None
-    for k in (0,) + PERTURB_STEPS:
-        radius = r + k * delta
-        if not 0.0 < radius < 1.0 - 1e-12:
-            continue
-        try:
-            count, residual = winding_number(f, w, radius)
-            return count, residual, radius
-        except ContourProximityError as err:
-            last_error = err
-    raise last_error if last_error is not None else ContourProximityError(
-        "no admissible perturbed radius", radius=r)
+def _replay(w, radii, done):
+    """valence_at's sequential scan over the contour outcomes in ``done``.
+
+    ``done`` maps a contour radius to its ``_wind`` outcome.  Returns
+    ``(None, outcome)`` with the report or the exception valence_at gives,
+    or ``(radius, None)`` for the first contour the scan needs that
+    ``done`` lacks.
+    """
+    counts, used, residuals = [], [], []
+    stabilized = False
+    failed_radius = None
+    for j, r in enumerate(radii, start=1):
+        delta = PERTURB_BASE * 2.0 ** -j
+        found = None
+        # the jitter ladder: r, then r + k*delta
+        for k in (0,) + PERTURB_STEPS:
+            radius = r + k * delta
+            if not 0.0 < radius < 1.0 - 1e-12:
+                continue
+            if radius not in done:
+                return radius, None
+            found = done[radius]
+            if isinstance(found, ContourProximityError):
+                found = None
+                continue
+            if isinstance(found, Exception):
+                return None, found
+            break
+        if found is None:
+            failed_radius = r
+            break
+        counts.append(found[0])
+        used.append(radius)
+        residuals.append(found[1])
+        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
+                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
+            stabilized = True
+            break
+    if failed_radius is None and len(counts) >= STOP_RUN:
+        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
+    try:
+        return None, ValenceReport(
+            w=w, radii=tuple(used), counts=tuple(counts),
+            residuals=tuple(residuals),
+            stabilized=stabilized and failed_radius is None,
+            value=counts[-1] if counts else 0,
+            failed_radius=failed_radius)
+    except InternalConsistencyError as err:
+        return None, err
 
 
 def valence_at(f, w: complex, schedule=None) -> ValenceReport:
@@ -205,6 +462,11 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
     five jitters).  The scan stops early once ``STOP_RUN`` consecutive
     counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
     the centre proves nothing because preimages may still hide outside.
+
+    Contours go through the engine in waves: first every radius up to the
+    first one at which the stop rule can fire, then one contour per wave,
+    each a further radius or a jitter.  Contours the sequential scan would
+    not reach are discarded.
     """
     w = require_finite(w, "w")
     radii = default_schedule() if schedule is None else tuple(schedule)
@@ -212,31 +474,15 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
         raise ValueError("schedule radii must lie in (0, 1)")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("schedule must be strictly increasing")
-
-    counts, used, residuals = [], [], []
-    stabilized = False
-    failed_radius = None
-    for j, r in enumerate(radii, start=1):
-        delta = PERTURB_BASE * 2.0 ** -j
-        try:
-            count, residual, radius = _winding_with_perturbation(f, w, r, delta)
-        except ContourProximityError:
-            failed_radius = r
-            break
-        counts.append(count)
-        used.append(radius)
-        residuals.append(residual)
-        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
-                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
-            stabilized = True
-            break
-    if failed_radius is None and len(counts) >= STOP_RUN:
-        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
-    return ValenceReport(
-        w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
-        stabilized=stabilized and failed_radius is None,
-        value=counts[-1] if counts else 0,
-        failed_radius=failed_radius)
+    waves = [_first_wave(radii)]
+    done = {}
+    while True:
+        for wave in waves:
+            done.update(zip(wave, _wave(f, [w] * len(wave), wave)))
+        missing, outcome = _replay(w, radii, done)
+        if missing is None:
+            return _unwrap(outcome)
+        waves = [[missing]]
 
 
 def valence_profile(f, w: complex, radii) -> list:
@@ -245,19 +491,16 @@ def valence_profile(f, w: complex, radii) -> list:
     radii = tuple(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
-    out = []
-    for r in radii:
-        count, _ = winding_number(f, w, r)
-        out.append((r, count))
-    return out
+    outcomes = _wave(f, [w] * len(radii), radii)
+    return [(r, _unwrap(outcome)[0]) for r, outcome in zip(radii, outcomes)]
 
 
 def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapGrid:
     """Winding count at every grid cell w inside |w| < radius - 1e-3.
 
-    Cells are filled in order on the calling thread; ``threads`` is
-    accepted for compatibility and ignored.  Per-cell failures become
-    ERROR_MARK, never an exception.
+    All cells go through the contour engine together, one jitter step at a
+    time; ``threads`` is accepted for compatibility and ignored.  Per-cell
+    failures become ERROR_MARK, never an exception.
     """
     if not 16 <= resolution <= 4096:
         raise ValueError("resolution must lie in [16, 4096]")
@@ -268,19 +511,37 @@ def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapG
     ys = -_cell_axis(resolution)  # top row first
     delta = PERTURB_BASE * (1.0 - radius)
 
-    cells = np.empty((resolution, resolution), dtype=np.int16)
-    for row, y in enumerate(ys):
-        for col, x in enumerate(xs):
-            w = complex(x, y)
-            if abs(w) >= margin:
-                cells[row, col] = OUTSIDE_MARK
-                continue
-            try:
-                count, _, _ = _winding_with_perturbation(f, w, radius, delta)
-                cells[row, col] = count
-            except (ContourProximityError, RefinementOverflowError,
-                    InternalConsistencyError):
-                cells[row, col] = ERROR_MARK
+    inside = np.zeros(resolution * resolution, dtype=bool)
+    ws = []
+    for i, w in enumerate(complex(x, y) for y in ys for x in xs):
+        if abs(w) < margin:
+            inside[i] = True
+            ws.append(w)
+    outcomes = [None] * len(ws)
+    pending = np.arange(len(ws))
+    for k in (0,) + PERTURB_STEPS:
+        r = radius + k * delta
+        if not len(pending):
+            break
+        if not 0.0 < r < 1.0 - 1e-12:
+            continue
+        cell_ws = [ws[c] for c in pending]
+        # the first cell goes alone: a map that raises there for another
+        # reason than the contour (one that leaves the disc, say) fails the
+        # heatmap before any other cell is computed
+        head = _wave(f, cell_ws[:1], [r]) if k == 0 else []
+        if head and not isinstance(head[0], (tuple,) + CELL_ERRORS):
+            raise head[0]
+        rest = cell_ws[len(head):]
+        for c, outcome in zip(pending, head + _wave(f, rest, [r] * len(rest))):
+            outcomes[c] = outcome
+        pending = np.array([c for c in pending
+                            if isinstance(outcomes[c], ContourProximityError)],
+                           dtype=np.intp)
+    cells = np.full(resolution * resolution, OUTSIDE_MARK, dtype=np.int16)
+    cells[inside] = [ERROR_MARK if outcome is None or isinstance(outcome, CELL_ERRORS)
+                     else _unwrap(outcome)[0] for outcome in outcomes]
+    cells = cells.reshape(resolution, resolution)
     return HeatmapGrid(resolution=resolution, radius=radius, cells=cells)
 
 

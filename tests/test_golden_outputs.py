@@ -1,8 +1,8 @@
 """Byte-identity of CLI stdout.
 
-Each digest is the SHA-256 of the stdout of one CLI run, recorded before
-the settings objects and the heatmap thread pool were removed.  A
-refactor that reorders a float operation moves one of these digests.
+Each digest is the SHA-256 of the stdout of one CLI run, recorded with
+the one-contour-at-a-time winding engine.  A refactor that reorders a
+float operation moves one of these digests.
 """
 
 import hashlib
@@ -29,6 +29,10 @@ GOLDEN = [
      "a2bba0a3f9758e11fd93b432bdcbc7bda4d4a3019f707ba746daf29b485ce488"),
     (["verify", "theorem-3-1", "--candidate", "slit-power"],
      "c69b38c81267c69aa88d9e4113240828d94e9734e5466a0607251f04f33ae6f9"),
+    # case 358 has a refinement round that adds a single midpoint, whose
+    # one-node evaluation sums in another order than a wide batch
+    (["verify", "theorem-a", "--seed", "7", "--cases", "36", "--targets", "10"],
+     "11170bde01cfb8c16dbefc2c12752c0d26ce6eb39c818d788465fb106c394236"),
 ]
 
 
