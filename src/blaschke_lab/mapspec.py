@@ -11,6 +11,7 @@ Parse failures name the offending node path, e.g. "$.outer.zeros[2]".
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import MapSpecError
 from .gallery import (
@@ -42,8 +43,9 @@ def _complex_from(node, path):
 
 
 def _number_from(node, path):
-    if not isinstance(node, (int, float)) or isinstance(node, bool):
-        raise MapSpecError("expected a number", path)
+    if (not isinstance(node, (int, float)) or isinstance(node, bool)
+            or not math.isfinite(node)):
+        raise MapSpecError("expected a finite number", path)
     return node
 
 
@@ -64,7 +66,7 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
             handle = mobius_handle(MobiusAutomorphism(alpha=alpha, lam=lam))
         except ValueError as err:
             raise MapSpecError(str(err), path) from err
-        handle.spec = canonical(data)
+        handle.spec = dict(data)
         return handle
     if kind == "blaschke":
         lam = _complex_from(data.get("lambda"), f"{path}.lambda")
@@ -77,7 +79,7 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
             handle = blaschke_handle(BlaschkeProduct(lam=lam, zeros=zeros))
         except ValueError as err:
             raise MapSpecError(str(err), path) from err
-        handle.spec = canonical(data)
+        handle.spec = dict(data)
         return handle
     if kind == "compose":
         outer = parse_map_spec(data.get("outer"), f"{path}.outer")
@@ -113,7 +115,7 @@ def _parse_gallery(data, path):
     if name == "slit-power":
         k = _number_from(params.get("k", 2), f"{path}.params.k")
         try:
-            return make_slit_power(int(k))
+            return make_slit_power(k)
         except ValueError as err:
             raise MapSpecError(str(err), path) from err
     if name == "atomic-inner":
@@ -131,7 +133,7 @@ def _parse_gallery(data, path):
     if name == "escape":
         n = _number_from(params.get("n", 2), f"{path}.params.n")
         try:
-            return make_escape_sequence(int(n))
+            return make_escape_sequence(n)
         except ValueError as err:
             raise MapSpecError(str(err), path) from err
     raise MapSpecError(
@@ -139,30 +141,9 @@ def _parse_gallery(data, path):
         f"{path}.name")
 
 
-def canonical(data) -> dict:
-    """Round a parsed node to its canonical emission (defaults filled in)."""
-    kind = data.get("type")
-    if kind == "gallery":
-        name = data.get("name")
-        params = dict(data.get("params", {}))
-        if name == "scaled-exp":
-            params.setdefault("epsilon", 1e-10)
-            params.setdefault("c", 10.0)
-        if name == "slit-power":
-            params.setdefault("k", 2)
-        if name == "escape":
-            params.setdefault("n", 2)
-        out = {"type": "gallery", "name": name}
-        if params:
-            out["params"] = params
-        return out
-    return dict(data)
-
-
 def gallery_spec(name: str, params: dict | None = None) -> dict:
     """Canonical spec JSON for a gallery member (validates by construction)."""
     node = {"type": "gallery", "name": name}
     if params:
         node["params"] = dict(params)
-    parse_map_spec(node)
-    return canonical(node)
+    return parse_map_spec(node).spec

@@ -96,7 +96,7 @@ class HeatmapGrid:
     cells: np.ndarray = field(repr=False)
 
     def counts_present(self) -> set:
-        return set(int(c) for c in np.unique(self.cells) if c >= 0)
+        return {c for c in self.cells.ravel().tolist() if c >= 0}
 
 
 def _cell_axis(resolution: int) -> np.ndarray:
@@ -241,16 +241,10 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
     of them plus the initial nodes of contours admitted this round.  New
     contours are admitted while the live nodes plus each newcomer's
     projected size (the mean final size of the contours already resolved)
-    stay within WAVE_NODES.
+    stay within WAVE_NODES.  Every r must lie in (0, 1); callers check it.
     """
     out = [None] * len(rs)
     radius = np.array(rs, dtype=float)
-    valid = (0.0 < radius) & (radius < 1.0)
-    for j in (~valid).nonzero()[0]:
-        out[j] = ValueError(f"contour radius must lie in (0, 1), got {rs[j]!r}")
-    queue = valid.nonzero()[0]
-    if not len(queue):
-        return out
     target = np.array(ws, dtype=complex)
     target_abs = np.array([abs(w) for w in ws])
     # phase speed |d arg(f - w)/dt| <= 2 pi r |f'| / |f - w| at a node; it
@@ -265,7 +259,7 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
     v = np.empty(0, dtype=complex)
     speed = np.empty(0)
     resolved = resolved_nodes = queued = 0
-    while len(ids) or queued < len(queue):
+    while len(ids) or queued < len(rs):
         grow = np.zeros(0, dtype=bool)
         growth = nbad = pos = np.empty(0, dtype=np.intp)
         t_mid = np.empty(0)
@@ -289,9 +283,9 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
         live = int(np.sum(sizes[grow] + growth))
         projected = resolved_nodes / resolved if resolved else initial_nodes
         admitted = []
-        while queued < len(queue) and (live + projected <= WAVE_NODES
-                                       or not (live or admitted)):
-            admitted.append(queue[queued])
+        while queued < len(rs) and (live + projected <= WAVE_NODES
+                                    or not (live or admitted)):
+            admitted.append(queued)
             queued += 1
             live += projected
         if not (len(growth) or admitted):
@@ -395,64 +389,29 @@ def _wave(f, ws, rs) -> list:
         return [err]
 
 
-def _first_wave(radii) -> list:
-    """Schedule radii up to the first index at which the stop rule can fire."""
-    for i in range(STOP_RUN - 1, len(radii)):
-        if radii[i - STOP_RUN + 1] >= STOP_MIN_RADIUS:
-            radii = radii[:i + 1]
-            break
-    return [r for r in radii if r < 1.0 - 1e-12]
+def _ladders(f, ws, rs, deltas) -> list:
+    """The jitter ladder r, r + k*delta (k in PERTURB_STEPS) of each contour.
 
-
-def _replay(w, radii, done):
-    """valence_at's sequential scan over the contour outcomes in ``done``.
-
-    ``done`` maps a contour radius to its ``_wind`` outcome.  Returns
-    ``(None, outcome)`` with the report or the exception valence_at gives,
-    or ``(radius, None)`` for the first contour the scan needs that
-    ``done`` lacks.
+    All ladders climb together, one ``_wave`` per rung; rungs outside
+    (0, 1 - 1e-12) are skipped.  Each entry is ``(radius, outcome)`` for
+    the first rung whose outcome is not a ContourProximityError, or
+    ``(None, None)`` when every rung is.
     """
-    counts, used, residuals = [], [], []
-    stabilized = False
-    failed_radius = None
-    for j, r in enumerate(radii, start=1):
-        delta = PERTURB_BASE * 2.0 ** -j
-        found = None
-        # the jitter ladder: r, then r + k*delta
-        for k in (0,) + PERTURB_STEPS:
-            radius = r + k * delta
-            if not 0.0 < radius < 1.0 - 1e-12:
-                continue
-            if radius not in done:
-                return radius, None
-            found = done[radius]
-            if isinstance(found, ContourProximityError):
-                found = None
-                continue
-            if isinstance(found, Exception):
-                return None, found
+    out = [(None, None)] * len(rs)
+    pending = range(len(rs))
+    for k in (0,) + PERTURB_STEPS:
+        rung = [j for j in pending if 0.0 < rs[j] + k * deltas[j] < 1.0 - 1e-12]
+        # rung 0 passes r itself (r + 0*delta is r), so the first wave of a
+        # heatmap holds one radius object, not one per cell
+        radii = [rs[j] + k * deltas[j] if k else rs[j] for j in rung]
+        outcomes = _wave(f, [ws[j] for j in rung], radii)
+        for j, r, outcome in zip(rung, radii, outcomes):
+            if not isinstance(outcome, ContourProximityError):
+                out[j] = (r, outcome)
+        pending = [j for j in pending if out[j][0] is None]
+        if not pending:
             break
-        if found is None:
-            failed_radius = r
-            break
-        counts.append(found[0])
-        used.append(radius)
-        residuals.append(found[1])
-        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
-                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
-            stabilized = True
-            break
-    if failed_radius is None and len(counts) >= STOP_RUN:
-        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
-    try:
-        return None, ValenceReport(
-            w=w, radii=tuple(used), counts=tuple(counts),
-            residuals=tuple(residuals),
-            stabilized=stabilized and failed_radius is None,
-            value=counts[-1] if counts else 0,
-            failed_radius=failed_radius)
-    except InternalConsistencyError as err:
-        return None, err
+    return out
 
 
 def valence_at(f, w: complex, schedule=None) -> ValenceReport:
@@ -463,10 +422,9 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
     counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
     the centre proves nothing because preimages may still hide outside.
 
-    Contours go through the engine in waves: first every radius up to the
-    first one at which the stop rule can fire, then one contour per wave,
-    each a further radius or a jitter.  Contours the sequential scan would
-    not reach are discarded.
+    The ladders of every radius up to the first one at which the stop rule
+    can fire climb together; each later radius gets its ladder when the
+    scan reaches it.
     """
     w = require_finite(w, "w")
     radii = default_schedule() if schedule is None else tuple(schedule)
@@ -474,15 +432,36 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
         raise ValueError("schedule radii must lie in (0, 1)")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("schedule must be strictly increasing")
-    waves = [_first_wave(radii)]
-    done = {}
-    while True:
-        for wave in waves:
-            done.update(zip(wave, _wave(f, [w] * len(wave), wave)))
-        missing, outcome = _replay(w, radii, done)
-        if missing is None:
-            return _unwrap(outcome)
-        waves = [[missing]]
+    deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
+    # the stop rule can fire first STOP_RUN - 1 radii after the first radius
+    # at or beyond STOP_MIN_RADIUS
+    first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
+                         if r >= STOP_MIN_RADIUS), len(radii))]
+    rungs = _ladders(f, [w] * len(first), first, deltas)
+    counts, used, residuals = [], [], []
+    stabilized = False
+    failed_radius = None
+    for j, r in enumerate(radii):
+        if j == len(rungs):
+            rungs += _ladders(f, [w], [r], [deltas[j]])
+        radius, outcome = rungs[j]
+        if outcome is None:
+            failed_radius = r
+            break
+        count, residual = _unwrap(outcome)
+        counts.append(count)
+        used.append(radius)
+        residuals.append(residual)
+        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
+                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
+            stabilized = True
+            break
+    if failed_radius is None and len(counts) >= STOP_RUN:
+        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
+    return ValenceReport(
+        w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
+        stabilized=stabilized and failed_radius is None,
+        value=counts[-1] if counts else 0, failed_radius=failed_radius)
 
 
 def valence_profile(f, w: complex, radii) -> list:
@@ -491,6 +470,9 @@ def valence_profile(f, w: complex, radii) -> list:
     radii = tuple(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
+    for r in radii:
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"contour radius must lie in (0, 1), got {r!r}")
     outcomes = _wave(f, [w] * len(radii), radii)
     return [(r, _unwrap(outcome)[0]) for r, outcome in zip(radii, outcomes)]
 
@@ -498,9 +480,9 @@ def valence_profile(f, w: complex, radii) -> list:
 def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapGrid:
     """Winding count at every grid cell w inside |w| < radius - 1e-3.
 
-    All cells go through the contour engine together, one jitter step at a
-    time; ``threads`` is accepted for compatibility and ignored.  Per-cell
-    failures become ERROR_MARK, never an exception.
+    The jitter ladders of all cells climb together; ``threads`` is accepted
+    for compatibility and ignored.  Per-cell failures become ERROR_MARK,
+    never an exception.
     """
     if not 16 <= resolution <= 4096:
         raise ValueError("resolution must lie in [16, 4096]")
@@ -517,30 +499,18 @@ def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapG
         if abs(w) < margin:
             inside[i] = True
             ws.append(w)
-    outcomes = [None] * len(ws)
-    pending = np.arange(len(ws))
-    for k in (0,) + PERTURB_STEPS:
-        r = radius + k * delta
-        if not len(pending):
-            break
-        if not 0.0 < r < 1.0 - 1e-12:
-            continue
-        cell_ws = [ws[c] for c in pending]
-        # the first cell goes alone: a map that raises there for another
-        # reason than the contour (one that leaves the disc, say) fails the
-        # heatmap before any other cell is computed
-        head = _wave(f, cell_ws[:1], [r]) if k == 0 else []
-        if head and not isinstance(head[0], (tuple,) + CELL_ERRORS):
-            raise head[0]
-        rest = cell_ws[len(head):]
-        for c, outcome in zip(pending, head + _wave(f, rest, [r] * len(rest))):
-            outcomes[c] = outcome
-        pending = np.array([c for c in pending
-                            if isinstance(outcomes[c], ContourProximityError)],
-                           dtype=np.intp)
+    rs, deltas = [radius] * len(ws), [delta] * len(ws)
+    # the first cell goes alone: a map that raises there for another reason
+    # than the contour (one that leaves the disc, say) fails the heatmap
+    # before any other cell is computed
+    ladders = _ladders(f, ws[:1], rs[:1], deltas[:1])
+    for _, outcome in ladders:
+        if not isinstance(outcome, (tuple, type(None)) + CELL_ERRORS):
+            raise outcome
+    ladders += _ladders(f, ws[1:], rs[1:], deltas[1:])
     cells = np.full(resolution * resolution, OUTSIDE_MARK, dtype=np.int16)
     cells[inside] = [ERROR_MARK if outcome is None or isinstance(outcome, CELL_ERRORS)
-                     else _unwrap(outcome)[0] for outcome in outcomes]
+                     else _unwrap(outcome)[0] for _, outcome in ladders]
     cells = cells.reshape(resolution, resolution)
     return HeatmapGrid(resolution=resolution, radius=radius, cells=cells)
 

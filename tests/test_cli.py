@@ -53,6 +53,15 @@ def test_eval_malformed_spec_exits_2(capsys):
     assert "unknown map type" in err
 
 
+def test_eval_non_finite_gallery_param_exits_2(capsys):
+    code, out, err = run_cli(capsys, "eval", "--map",
+                             '{"type":"gallery","name":"slit-power","params":{"k":Infinity}}',
+                             "--z", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_eval_exterior_point_exits_2(capsys):
     code, _, _ = run_cli(capsys, "eval", "--map", "half", "--z", "1.5")
     assert code == 2

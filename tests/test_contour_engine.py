@@ -1,9 +1,10 @@
 """The lock-step contour engine gives each contour the bits it gets alone.
 
-``valence._wind`` refines many contours per ``eval_many`` call.  These
-tests compare one multi-contour call with one-contour calls, and the
-batched ``valence_at`` / ``valence_heatmap`` with the one-contour-at-a-time
-scans they replaced, kept here as references.
+``valence._wind`` refines many contours per ``eval_many`` call, and
+``valence._ladders`` climbs many jitter ladders together.  These tests
+compare one multi-contour call with one-contour calls, and the batched
+``valence_at`` / ``valence_heatmap`` with the one-contour-at-a-time scans
+they replaced, kept here as references.
 """
 
 import math
@@ -30,11 +31,16 @@ from blaschke_lab.valence import (
     OUTSIDE_MARK,
     PERTURB_BASE,
     PERTURB_STEPS,
+    STOP_MIN_RADIUS,
+    STOP_RUN,
+    ValenceReport,
+    default_schedule,
     valence_at,
     valence_heatmap,
+    valence_profile,
     winding_number,
 )
-from blaschke_lab.verifier import check_theorem_A
+from blaschke_lab.verifier import check_theorem_3_2, check_theorem_A, demo_hurwitz_escape
 
 CUBE = blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 0j, 0j)))
 
@@ -79,13 +85,21 @@ def _random_blaschke(rng):
     return BlaschkeProduct(lam=complex(np.exp(2j * math.pi * rng.uniform())), zeros=zeros)
 
 
-def _nan_on_arc(z):
-    """z^2, except NaN on the first-quadrant arc of |z| = 0.5."""
-    arc = (np.abs(np.abs(z) - 0.5) < 1e-12) & (z.real > 0) & (z.imag > 0)
-    return np.where(arc, np.nan, z * z), 2.0 * z
+def _nan_arc(radius):
+    """z^2, except NaN on the first-quadrant arc of |z| = radius."""
+
+    def fn(z):
+        arc = (np.abs(np.abs(z) - radius) < 1e-12) & (z.real > 0) & (z.imag > 0)
+        return np.where(arc, np.nan, z * z), 2.0 * z
+
+    return DiscMapHandle(fn, "nan-arc")
 
 
-NAN_ARC = DiscMapHandle(_nan_on_arc, "nan-arc")
+NAN_ARC = _nan_arc(0.5)
+
+
+def _constant(value):
+    return DiscMapHandle(lambda z: (np.full_like(z, value), np.zeros_like(z)), "constant")
 
 
 def _pole_right_of(z):
@@ -93,6 +107,19 @@ def _pole_right_of(z):
     if np.any(z.real > 0.65):
         raise PoleError(f"pole near {z[np.argmax(z.real)]!r}")
     return 0.5 * z, np.full_like(z, 0.5)
+
+
+def _record_evaluations(monkeypatch):
+    """The node count of every later ``eval_many`` call, in call order."""
+    sizes = []
+    original = DiscMapHandle.eval_many
+
+    def recording(self, z):
+        sizes.append(int(np.size(z)))
+        return original(self, z)
+
+    monkeypatch.setattr(DiscMapHandle, "eval_many", recording)
+    return sizes
 
 
 def test_pinned_single_node_contour():
@@ -194,9 +221,7 @@ def _reference_heatmap(f, resolution, radius):
 def test_heatmap_matches_the_cell_by_cell_ladder_with_an_exhausted_cell():
     # a constant map sits on the centre of cell (7, 8), so every rung of
     # that cell's jitter ladder hits the proximity floor
-    centre = complex(0.0625, 0.0625)
-    constant = DiscMapHandle(lambda z: (np.full_like(z, centre), np.zeros_like(z)),
-                             "constant")
+    constant = _constant(complex(0.0625, 0.0625))
     grid = valence_heatmap(constant, 16, 0.9)
     assert grid.cells[7, 8] == ERROR_MARK
     assert np.array_equal(grid.cells, _reference_heatmap(constant, 16, 0.9))
@@ -209,14 +234,7 @@ def test_heatmap_fails_at_its_first_cell_before_the_others(monkeypatch):
     # the whole contour leaves the disc, as in the sequential scan, which
     # raised at the first cell
     stretch = DiscMapHandle(lambda z: (1.6 * z, np.full_like(z, 1.6)), "stretch")
-    sizes = []
-    original = DiscMapHandle.eval_many
-
-    def counting(self, z):
-        sizes.append(np.size(z))
-        return original(self, z)
-
-    monkeypatch.setattr(DiscMapHandle, "eval_many", counting)
+    sizes = _record_evaluations(monkeypatch)
     with pytest.raises(DiscPreservationError):
         valence_heatmap(stretch, 16, 0.7)
     assert sizes == [64]
@@ -228,6 +246,93 @@ def test_valence_at_jitters_like_the_sequential_scan():
     report = valence_at(CUBE, 0.125)
     assert report.radii[0] == 0.5 + PERTURB_STEPS[0] * PERTURB_BASE * 2.0 ** -1
     assert report.value == 3 and report.stabilized
+
+
+def _reference_valence(f, w, schedule=None):
+    """valence_at's scan, one winding_number call per contour."""
+    radii = default_schedule() if schedule is None else tuple(schedule)
+    counts, used, residuals = [], [], []
+    stabilized, failed_radius = False, None
+    for j, r in enumerate(radii, start=1):
+        delta = PERTURB_BASE * 2.0 ** -j
+        found = None
+        for k in (0,) + PERTURB_STEPS:
+            radius = r + k * delta
+            if not 0.0 < radius < 1.0 - 1e-12:
+                continue
+            try:
+                found = winding_number(f, w, radius)
+                break
+            except ContourProximityError:
+                continue
+        if found is None:
+            failed_radius = r
+            break
+        counts.append(found[0])
+        used.append(radius)
+        residuals.append(found[1])
+        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
+                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
+            stabilized = True
+            break
+    if failed_radius is None and len(counts) >= STOP_RUN:
+        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
+    return ValenceReport(
+        w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
+        stabilized=stabilized and failed_radius is None,
+        value=counts[-1] if counts else 0, failed_radius=failed_radius)
+
+
+def _outcome(scan, *args):
+    try:
+        return scan(*args)
+    except Exception as err:
+        return err
+
+
+def _same_report(f, w, schedule=None):
+    """valence_at and the reference give equal reports, or the same error."""
+    batched = _outcome(valence_at, f, w, schedule)
+    alone = _outcome(_reference_valence, f, w, schedule)
+    if isinstance(alone, Exception):
+        assert type(batched) is type(alone)
+        assert str(batched) == str(alone)
+        return batched
+    assert (batched.radii, batched.counts, batched.stabilized, batched.value,
+            batched.failed_radius) == (alone.radii, alone.counts, alone.stabilized,
+                                       alone.value, alone.failed_radius)
+    assert [x.hex() for x in batched.residuals] == [x.hex() for x in alone.residuals]
+    return batched
+
+
+def test_valence_at_matches_the_one_contour_scan_on_random_products():
+    rng = np.random.default_rng(606)
+    for _ in range(30):
+        f = blaschke_handle(_random_blaschke(rng))
+        w = complex(0.9 * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
+        assert isinstance(_same_report(f, w), ValenceReport)
+
+
+def test_valence_at_matches_the_one_contour_scan_on_failures(monkeypatch):
+    atomic = make_atomic_inner()
+    target = math.exp(-1)
+    assert _same_report(CUBE, 0.125).radii[0] != 0.5
+    # rungs at or beyond 1 - 1e-12 are skipped
+    assert _same_report(CUBE, 0.1, (0.5, 1.0 - 1e-13)).radii[1] < 1.0 - 1e-5
+    # every rung of the first ladder has |f - w| = 0
+    assert _same_report(_constant(0.3 + 0.1j), 0.3 + 0.1j).failed_radius == 0.5
+    # the second radius of the first wave is not finite
+    assert isinstance(_same_report(_nan_arc(0.75), 0.1), DomainError)
+    assert _same_report(atomic, target, (0.9, 0.99, 0.999)).radii == (0.9, 0.99, 0.999)
+    monkeypatch.setattr(valence, "MAX_NODES", 128)
+    assert isinstance(_same_report(atomic, target), RefinementOverflowError)
+
+
+def test_valence_profile_checks_its_radii_before_any_contour(monkeypatch):
+    sizes = _record_evaluations(monkeypatch)
+    with pytest.raises(ValueError, match=r"contour radius must lie in \(0, 1\), got 1.5"):
+        valence_profile(CUBE, 0.1, (0.5, 1.5))
+    assert sizes == []
 
 
 def test_non_finite_values_raise_a_domain_error():
@@ -246,19 +351,29 @@ def test_non_finite_values_become_error_cells():
 
 
 def test_theorem_a_evaluates_the_same_nodes_in_fewer_calls(monkeypatch):
-    counts = {"calls": 0, "nodes": 0}
-    original = DiscMapHandle.eval_many
-
-    def counting(self, z):
-        counts["calls"] += 1
-        counts["nodes"] += int(np.size(z))
-        return original(self, z)
-
-    monkeypatch.setattr(DiscMapHandle, "eval_many", counting)
+    sizes = _record_evaluations(monkeypatch)
     check_theorem_A(1, 4, 5)
     # one contour at a time, the same run took 2,177 calls for these nodes
-    assert counts["nodes"] == 78861
-    assert counts["calls"] <= 300
+    assert sum(sizes) == 78861
+    assert len(sizes) <= 300
+
+
+# run: (eval_many nodes, eval_many calls) it took before valence_at and the
+# heatmap shared ``valence._ladders``, which evaluates the same contours
+WORK = {
+    "theorem-3-2": (lambda: check_theorem_3_2(2, 0, 500, 10), 52146, 234),
+    "heatmap": (lambda: valence_heatmap(make_atomic_inner(), 24, 0.999), 138900, 1006),
+    "hurwitz": (demo_hurwitz_escape, 3748, 16),
+}
+
+
+@pytest.mark.parametrize("name", WORK)
+def test_engine_work_does_not_grow(monkeypatch, name):
+    run, nodes, calls = WORK[name]
+    sizes = _record_evaluations(monkeypatch)
+    run()
+    assert sum(sizes) <= nodes
+    assert len(sizes) <= calls
 
 
 def test_heatmap_run_leaves_numpy_ma_unimported(tmp_path):
@@ -267,6 +382,8 @@ def test_heatmap_run_leaves_numpy_ma_unimported(tmp_path):
             "from blaschke_lab.cli import main\n"
             "main(['heatmap', '--map', 'atomic-inner', '--resolution', '16',\n"
             f"      '--radius', '0.99', '--out', {str(tmp_path / 'h.pgm')!r}])\n"
+            # check_theorem_A reads the counts present in a half-map heatmap
+            "main(['verify', 'theorem-a', '--seed', '1', '--cases', '1', '--targets', '1'])\n"
             "print('numpy.ma' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": str(src), "PATH": ""}, timeout=120)

@@ -12,6 +12,7 @@ import pytest
 from blaschke_lab.cli import main
 
 SQUARE = '{"type":"blaschke","lambda":[1,0],"zeros":[[0,0],[0,0]]}'
+CUBE = '{"type":"blaschke","lambda":[1,0],"zeros":[[0,0],[0,0],[0,0]]}'
 
 GOLDEN = [
     (["verify", "theorem-a", "--seed", "1", "--cases", "3", "--targets", "5"],
@@ -33,6 +34,10 @@ GOLDEN = [
     # one-node evaluation sums in another order than a wide batch
     (["verify", "theorem-a", "--seed", "7", "--cases", "36", "--targets", "10"],
      "11170bde01cfb8c16dbefc2c12752c0d26ce6eb39c818d788465fb106c394236"),
+    # r = 0.5 passes through a preimage of 0.125: the scan prints the first
+    # jitter, r=0.50005
+    (["valence", "--map", CUBE, "--w", "0.125"],
+     "3d79dc81d6ce3a16b8506046136361395da68a8b3faa5a9136900f536d2987e8"),
 ]
 
 

@@ -94,6 +94,20 @@ def test_not_an_object():
         parse_map_spec("{oops")
 
 
+@pytest.mark.parametrize("text", [
+    '{"type":"gallery","name":"slit-power","params":{"k":Infinity}}',
+    '{"type":"gallery","name":"slit-power","params":{"k":NaN}}',
+    '{"type":"gallery","name":"slit-power","params":{"k":2.5}}',
+    '{"type":"gallery","name":"escape","params":{"n":-Infinity}}',
+    '{"type":"gallery","name":"escape","params":{"n":2.5}}',
+    '{"type":"gallery","name":"scaled-exp","params":{"epsilon":NaN}}',
+    '{"type":"gallery","name":"scaled-exp","params":{"c":Infinity}}',
+], ids=["k-inf", "k-nan", "k-fraction", "n-inf", "n-fraction", "epsilon-nan", "c-inf"])
+def test_malformed_gallery_params_are_spec_errors(text):
+    with pytest.raises(MapSpecError):
+        parse_map_spec(text)
+
+
 def test_gallery_spec_fills_defaults():
     spec = gallery_spec("scaled-exp")
     assert spec["params"] == {"epsilon": 1e-10, "c": 10.0}
