@@ -13,8 +13,7 @@ import os
 import sys
 
 from .errors import BlaschkeLabError, MapSpecError
-from .gallery import GALLERY_NAMES
-from .mapspec import gallery_spec, parse_map_spec
+from .mapspec import GALLERY, gallery_spec, parse_map_spec
 from .numerics import require_finite
 from .valence import (
     ERROR_MARK,
@@ -80,7 +79,7 @@ def load_map_argument(text: str):
     raw = text.strip()
     if raw.startswith("{"):
         return parse_map_spec(raw)
-    if raw in GALLERY_NAMES:
+    if raw in GALLERY:
         return parse_map_spec({"type": "gallery", "name": raw})
     if os.path.exists(raw):
         try:
@@ -239,32 +238,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    name = args.name
-    if name not in GALLERY_NAMES:
-        print(f"error: unknown gallery name {name!r}; valid names: "
-              f"{', '.join(GALLERY_NAMES)}", file=sys.stderr)
-        return USAGE_ERROR
-    params = {}
-    if name == "scaled-exp":
-        params = {"epsilon": args.epsilon, "c": args.c_param}
-    elif name == "slit-power":
-        params = {"k": args.k}
-    elif name == "escape":
-        params = {"n": args.n}
-    elif name == "frostman":
-        base = load_map_argument(args.base) if args.base else None
-        if base is None or base.spec is None:
-            print("error: frostman needs --base with a spec-representable map",
-                  file=sys.stderr)
-            return USAGE_ERROR
-        params = {"base": base.spec, "a": list(_pair(parse_complex(args.a)))}
-    spec = gallery_spec(name, params)
-    print(json.dumps(spec, sort_keys=True))
+    options = {"k": args.k, "n": args.n, "epsilon": args.epsilon, "c": args.c_param}
+    if args.a is not None:
+        a = parse_complex(args.a)
+        options["a"] = [a.real, a.imag]
+    if args.base is not None:
+        options["base"] = load_map_argument(args.base).spec
+    params = {key: value for key, value in options.items() if value is not None}
+    print(json.dumps(gallery_spec(args.name, params), sort_keys=True))
     return 0
-
-
-def _pair(z: complex):
-    return z.real, z.imag
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_gal = sub.add_parser("gallery", help="emit a canonical gallery map spec")
-    p_gal.add_argument("name")
-    p_gal.add_argument("--k", type=int, default=2)
-    p_gal.add_argument("--n", type=int, default=2)
-    p_gal.add_argument("--epsilon", type=float, default=1e-10)
-    p_gal.add_argument("--c-param", type=float, default=10.0)
-    p_gal.add_argument("--a", default="0+0i", help="frostman shift parameter")
+    p_gal.add_argument("name", help=f"one of: {', '.join(GALLERY)}")
+    p_gal.add_argument("--k", type=int, help="slit-power exponent")
+    p_gal.add_argument("--n", type=int, help="escape index")
+    p_gal.add_argument("--epsilon", type=float, help="scaled-exp factor")
+    p_gal.add_argument("--c-param", type=float, help="scaled-exp rate c")
+    p_gal.add_argument("--a", help="frostman shift parameter")
     p_gal.add_argument("--base", help="frostman base map spec")
     p_gal.set_defaults(fn=cmd_gallery)
     return parser

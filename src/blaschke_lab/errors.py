@@ -54,7 +54,7 @@ class NotAnAutomorphismError(BlaschkeLabError):
 
 
 class DiscPreservationError(BlaschkeLabError):
-    """A map declared disc-preserving produced |f(z)| >= 1 inside the disc."""
+    """A map produced |f(z)| >= 1 at a point inside the disc."""
 
 
 class BoundaryAmbiguityError(BlaschkeLabError):

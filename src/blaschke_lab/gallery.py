@@ -16,9 +16,6 @@ from .errors import DomainError, PoleError
 from .maps import BlaschkeProduct, DiscMapHandle, blaschke_handle
 from .numerics import require_finite
 
-GALLERY_NAMES = ("half", "scaled-exp", "slit-g", "slit-power", "atomic-inner",
-                 "frostman", "escape")
-
 
 def make_half_map() -> DiscMapHandle:
     """f(z) = z/2: injective, not surjective, valence 0 or 1."""
@@ -214,24 +211,24 @@ def atomic_preimage_count(r: float, w: complex = math.exp(-1)) -> int:
     return count
 
 
-def frostman_shift(f: DiscMapHandle, a: complex) -> DiscMapHandle:
-    """F_a = (a - f)/(1 - conj(a) f), the disc automorphism applied after f."""
+def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:
+    """F_a = (a - f)/(1 - conj(a) f), the disc automorphism applied after f = base."""
     a = require_finite(a, "a")
     if abs(a) >= 1.0:
         raise ValueError("shift parameter must satisfy |a| < 1")
 
     def fn(z):
-        fv, fd = f.eval_many(z)
+        fv, fd = base.eval_many(z)
         denom = 1.0 - np.conj(a) * fv
         value = (a - fv) / denom
         deriv = -fd * (1.0 - abs(a) ** 2) / (denom * denom)
         return value, deriv
 
     spec = None
-    if f.spec is not None:
+    if base.spec is not None:
         spec = {"type": "gallery", "name": "frostman",
-                "params": {"base": f.spec, "a": [a.real, a.imag]}}
-    return DiscMapHandle(fn, f"frostman(a={a:.4g}, base={f.descriptor})", spec=spec)
+                "params": {"base": base.spec, "a": [a.real, a.imag]}}
+    return DiscMapHandle(fn, f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
 
 
 def escape_blaschke(n: int) -> BlaschkeProduct:
@@ -240,7 +237,7 @@ def escape_blaschke(n: int) -> BlaschkeProduct:
     return BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 1.0 - 1.0 / int(n)))
 
 
-def make_escape_sequence(n: int) -> DiscMapHandle:
+def make_escape_sequence(n: int = 2) -> DiscMapHandle:
     """B_n with zeros {0, 1 - 1/n}: converges to -z only locally uniformly,
     and the second preimage of any fixed target escapes to the boundary."""
     b = escape_blaschke(n)

@@ -96,15 +96,14 @@ class DiscMapHandle:
     """Uniform evaluation capability: z in the disc -> (f(z), f'(z)).
 
     ``fn`` must accept a complex ndarray and return (values, derivatives)
-    ndarrays.  Maps declared disc-preserving are spot-checked on every
-    evaluation: an interior point with |f(z)| >= 1 raises a diagnostic.
+    ndarrays.  Every evaluation is spot-checked: an interior point with
+    |f(z)| >= 1 raises a diagnostic.
     """
 
-    def __init__(self, fn, descriptor: str, disc_preserving: bool = True,
-                 blaschke: BlaschkeProduct | None = None, spec: dict | None = None):
+    def __init__(self, fn, descriptor: str, blaschke: BlaschkeProduct | None = None,
+                 spec: dict | None = None):
         self._fn = fn
         self.descriptor = descriptor
-        self.disc_preserving = disc_preserving
         self.blaschke = blaschke
         self.spec = spec
 
@@ -114,14 +113,13 @@ class DiscMapHandle:
     def eval_many(self, z: np.ndarray):
         z = np.asarray(z, dtype=complex)
         values, derivs = self._fn(z)
-        if self.disc_preserving:
-            interior = np.abs(z) < 1.0
-            bad = interior & (np.abs(values) >= 1.0 + DISC_CHECK_SLACK)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise DiscPreservationError(
-                    f"{self.descriptor}: |f({z.flat[i]!r})| = {abs(values.flat[i])!r} >= 1 "
-                    "at an interior point")
+        interior = np.abs(z) < 1.0
+        bad = interior & (np.abs(values) >= 1.0 + DISC_CHECK_SLACK)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DiscPreservationError(
+                f"{self.descriptor}: |f({z.flat[i]!r})| = {abs(values.flat[i])!r} >= 1 "
+                "at an interior point")
         return values, derivs
 
     def eval(self, z: complex):
@@ -408,12 +406,9 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
         outer_v, outer_d = outer.eval_many(inner_v)
         return outer_v, outer_d * inner_d
 
-    disc = outer.disc_preserving
-    return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})",
-                         disc_preserving=disc)
+    return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})")
 
 
-def opaque(handle: DiscMapHandle, label: str = "opaque") -> DiscMapHandle:
+def opaque(handle: DiscMapHandle) -> DiscMapHandle:
     """Re-wrap a handle hiding its structure (for recovery round-trips)."""
-    return DiscMapHandle(handle._fn, label,
-                         disc_preserving=handle.disc_preserving)
+    return DiscMapHandle(handle._fn, "opaque")

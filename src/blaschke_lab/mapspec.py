@@ -5,17 +5,18 @@
     {"type": "compose", "outer": <spec>, "inner": <spec>}
     {"type": "gallery", "name": <string>, "params": {...}}
 
-Parse failures name the offending node path, e.g. "$.outer.zeros[2]".
+Parse failures name the offending node path, e.g. "$.outer.zeros[2]";
+a key a node does not take is one such failure, e.g. "$.params.eps".
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 
 from .errors import MapSpecError
 from .gallery import (
-    GALLERY_NAMES,
     frostman_shift,
     make_atomic_inner,
     make_escape_sequence,
@@ -49,6 +50,40 @@ def _number_from(node, path):
     return node
 
 
+def _spec_from(node, path):
+    # looks parse_map_spec up at call time, as the compose branch does, so
+    # that a wrapper installed on that name also sees nested frostman bases
+    return parse_map_spec(node, path)
+
+
+# The keys each node type takes besides "type".
+NODE_KEYS = {
+    "mobius": ("alpha", "lambda"),
+    "blaschke": ("lambda", "zeros"),
+    "compose": ("outer", "inner"),
+    "gallery": ("name", "params"),
+}
+
+# name -> (factory, reader of each parameter); the factory's signature
+# holds the defaults, and a parameter without one is required.
+GALLERY = {
+    "half": (make_half_map, {}),
+    "scaled-exp": (make_scaled_exponential, {"epsilon": _number_from, "c": _number_from}),
+    "slit-g": (make_slit_map, {}),
+    "slit-power": (make_slit_power, {"k": _number_from}),
+    "atomic-inner": (make_atomic_inner, {}),
+    "frostman": (frostman_shift, {"base": _spec_from, "a": _complex_from}),
+    "escape": (make_escape_sequence, {"n": _number_from}),
+}
+
+
+def _reject_unknown_keys(node: dict, known, path: str):
+    for key in node:
+        if key not in known:
+            raise MapSpecError(f"unknown key {key!r} (known: {', '.join(known) or 'none'})",
+                               f"{path}.{key}")
+
+
 def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
     """Turn a spec object (or JSON string) into an evaluation handle."""
     if isinstance(data, str):
@@ -59,6 +94,9 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
     if not isinstance(data, dict):
         raise MapSpecError("map spec node must be a JSON object", path)
     kind = data.get("type")
+    if not isinstance(kind, str) or kind not in NODE_KEYS:
+        raise MapSpecError(f"unknown map type {kind!r}", path)
+    _reject_unknown_keys(data, ("type",) + NODE_KEYS[kind], path)
     if kind == "mobius":
         alpha = _complex_from(data.get("alpha"), f"{path}.alpha")
         lam = _complex_from(data.get("lambda"), f"{path}.lambda")
@@ -91,54 +129,29 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
             handle = compose_handles(outer, inner)
         handle.spec = {"type": "compose", "outer": outer.spec, "inner": inner.spec}
         return handle
-    if kind == "gallery":
-        return _parse_gallery(data, path)
-    raise MapSpecError(f"unknown map type {kind!r}", path)
+    return _parse_gallery(data, path)
 
 
 def _parse_gallery(data, path):
     name = data.get("name")
+    if not isinstance(name, str) or name not in GALLERY:
+        raise MapSpecError(
+            f"unknown gallery name {name!r}; valid names: {', '.join(GALLERY)}",
+            f"{path}.name")
+    factory, readers = GALLERY[name]
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise MapSpecError("params must be an object", f"{path}.params")
-    if name == "half":
-        return make_half_map()
-    if name == "scaled-exp":
-        epsilon = _number_from(params.get("epsilon", 1e-10), f"{path}.params.epsilon")
-        c = _number_from(params.get("c", 10.0), f"{path}.params.c")
-        try:
-            return make_scaled_exponential(epsilon, c)
-        except ValueError as err:
-            raise MapSpecError(str(err), path) from err
-    if name == "slit-g":
-        return make_slit_map()
-    if name == "slit-power":
-        k = _number_from(params.get("k", 2), f"{path}.params.k")
-        try:
-            return make_slit_power(k)
-        except ValueError as err:
-            raise MapSpecError(str(err), path) from err
-    if name == "atomic-inner":
-        return make_atomic_inner()
-    if name == "frostman":
-        base_node = params.get("base")
-        if base_node is None:
-            raise MapSpecError("frostman needs a base map spec", f"{path}.params.base")
-        base = parse_map_spec(base_node, f"{path}.params.base")
-        a = _complex_from(params.get("a", [0.0, 0.0]), f"{path}.params.a")
-        try:
-            return frostman_shift(base, a)
-        except ValueError as err:
-            raise MapSpecError(str(err), path) from err
-    if name == "escape":
-        n = _number_from(params.get("n", 2), f"{path}.params.n")
-        try:
-            return make_escape_sequence(n)
-        except ValueError as err:
-            raise MapSpecError(str(err), path) from err
-    raise MapSpecError(
-        f"unknown gallery name {name!r}; valid names: {', '.join(GALLERY_NAMES)}",
-        f"{path}.name")
+    _reject_unknown_keys(params, readers, f"{path}.params")
+    for key, slot in inspect.signature(factory).parameters.items():
+        if slot.default is slot.empty and key not in params:
+            raise MapSpecError(f"{name} needs a {key!r} parameter", f"{path}.params.{key}")
+    kwargs = {key: read(params[key], f"{path}.params.{key}")
+              for key, read in readers.items() if key in params}
+    try:
+        return factory(**kwargs)
+    except ValueError as err:
+        raise MapSpecError(str(err), path) from err
 
 
 def gallery_spec(name: str, params: dict | None = None) -> dict:

@@ -51,9 +51,8 @@ STOP_RUN = 3                          # consecutive equal counts
 STOP_MIN_RADIUS = 1.0 - 2.0 ** -12    # only trust agreement out here
 
 
-def default_schedule(depth: int = None) -> tuple:
-    depth = SCHEDULE_DEPTH if depth is None else depth
-    return tuple(1.0 - 2.0 ** -j for j in range(1, depth + 1))
+def default_schedule() -> tuple:
+    return tuple(1.0 - 2.0 ** -j for j in range(1, SCHEDULE_DEPTH + 1))
 
 
 @dataclass(frozen=True)
@@ -327,27 +326,19 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
         del values, derivs, owner, gap_abs, floors
 
         # next round: the nodes of the contours still refining with their
-        # midpoints inserted at pos, then the nodes of new contours
+        # midpoints inserted at pos (np.insert keeps midpoints that share a
+        # position in input order), then the nodes of new contours
         n_grow = len(growth)
         kept = grow
-        mids = np.arange(n_mid)
         fresh = np.arange(n_mid, len(ts))
         if not keep.all():
             kept = grow.copy()
             kept[grow] = keep[:n_grow]
-            mids = np.repeat(keep[:n_grow], growth).nonzero()[0]
             fresh = np.repeat(keep[n_grow:], initial_nodes).nonzero()[0] + n_mid
-        olds = np.arange(len(t))
-        if not kept.all():
-            # the node indices of the kept contours, range by range
-            runs = sizes[kept]
-            olds = np.arange(runs.sum()) + np.repeat(
-                (sizes.cumsum() - sizes)[kept] - (runs.cumsum() - runs), runs)
-        at = pos[mids]
-        source = np.empty(len(olds) + len(mids) + len(fresh), dtype=np.intp)
-        source[np.arange(len(olds)) + np.searchsorted(at, olds, side="right")] = olds
-        source[np.searchsorted(olds, at) + np.arange(len(at))] = mids + len(t)
-        source[len(olds) + len(at):] = fresh + len(t)
+        merged = np.insert(np.arange(len(t)), pos, np.arange(len(t), len(t) + n_mid))
+        source = np.concatenate([merged[np.repeat(kept, sizes + np.where(grow, nbad, 0))],
+                                 fresh + len(t)])
+        del merged
         t = np.concatenate([t, ts])[source]
         v = np.concatenate([v, gap])[source]
         speed = np.concatenate([speed, speed_new])[source]

@@ -75,21 +75,10 @@ class SuiteReport:
         return self.cases_run > 0 and not self.failures
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON-serializable: {obj!r}")
-
-
 def report_jsonl(report: SuiteReport) -> str:
     """One JSON line per case plus a summary line (wall time excluded so
     identical invocations produce identical bytes)."""
-    lines = [json.dumps(case, sort_keys=True, separators=(",", ":"),
-                        default=_json_default)
+    lines = [json.dumps(case, sort_keys=True, separators=(",", ":"))
              for case in report.cases]
     summary = {"summary": {"suite": report.suite, "seed": report.seed,
                            "cases_run": report.cases_run,
@@ -104,8 +93,8 @@ def _sample_disc(rng, radius: float) -> complex:
                    * cmath.exp(2j * math.pi * rng.uniform()))
 
 
-def _random_blaschke(rng, degree: int, zero_radius: float = 0.95) -> BlaschkeProduct:
-    zeros = tuple(_sample_disc(rng, zero_radius) for _ in range(degree))
+def _random_blaschke(rng, degree: int) -> BlaschkeProduct:
+    zeros = tuple(_sample_disc(rng, 0.95) for _ in range(degree))
     lam = cmath.exp(2j * math.pi * rng.uniform())
     return BlaschkeProduct(lam=lam, zeros=zeros)
 
@@ -262,14 +251,12 @@ def check_theorem_C(seed: int, n_products: int = 50, n_mobius: int = 20) -> Suit
     for i in range(n_mobius):
         alpha = _sample_disc(rng, 0.95)
         lam = cmath.exp(2j * math.pi * rng.uniform())
-        m = MobiusAutomorphism(alpha=alpha, lam=lam)
-        b = BlaschkeProduct(lam=lam, zeros=(alpha,))
+        handle = mobius_handle(MobiusAutomorphism(alpha=alpha, lam=lam))
         record = {"case": n_products + i, "kind": "automorphism-recovery",
-                  "map": {"type": "mobius", "alpha": [alpha.real, alpha.imag],
-                          "lambda": [lam.real, lam.imag]}}
+                  "map": handle.spec}
         try:
-            census = blaschke_critical_points(b)
-            recovered, sup_error = mobius_recover(mobius_handle(m))
+            census = blaschke_critical_points(handle.blaschke)
+            recovered, sup_error = mobius_recover(handle)
             record.update({
                 "census": census.total_multiplicity,
                 "sup_error": sup_error,
@@ -364,25 +351,18 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
 
     if k == 2:
         u1, u2 = slit_collision_pair()
-        v1, _ = f.eval(u1)
-        v2, _ = f.eval(u2)
-        cases.append({"case": 1, "kind": "non-injectivity",
-                      "u1": [u1.real, u1.imag], "u2": [u2.real, u2.imag],
-                      "separation": abs(u1 - u2), "image_distance": abs(v1 - v2),
-                      "ok": abs(u1 - u2) > 0.1 and abs(v1 - v2) < 1e-9})
     else:
         rng_w = np.random.default_rng(seed + 1)
         w0 = _sample_disc(rng_w, 0.5)
         roots = [w0 ** (1.0 / k) * cmath.exp(2j * math.pi * j / k) for j in range(k)]
         admissible = [z for z in roots if not (z.imag == 0 and z.real >= 0)]
-        pts = [slit_h(z) for z in admissible[:2]]
-        v1, _ = f.eval(pts[0])
-        v2, _ = f.eval(pts[1])
-        cases.append({"case": 1, "kind": "non-injectivity",
-                      "u1": [pts[0].real, pts[0].imag], "u2": [pts[1].real, pts[1].imag],
-                      "separation": abs(pts[0] - pts[1]),
-                      "image_distance": abs(v1 - v2),
-                      "ok": abs(pts[0] - pts[1]) > 0.1 and abs(v1 - v2) < 1e-9})
+        u1, u2 = (slit_h(z) for z in admissible[:2])
+    v1, _ = f.eval(u1)
+    v2, _ = f.eval(u2)
+    cases.append({"case": 1, "kind": "non-injectivity",
+                  "u1": [u1.real, u1.imag], "u2": [u2.real, u2.imag],
+                  "separation": abs(u1 - u2), "image_distance": abs(v1 - v2),
+                  "ok": abs(u1 - u2) > 0.1 and abs(v1 - v2) < 1e-9})
 
     profile = valence_profile(f, 0.0, default_schedule())
     cases.append({"case": 2, "kind": "omits-zero",

@@ -52,6 +52,13 @@ def test_eval_malformed_spec_exits_2(capsys):
     assert code == 2
     assert "unknown map type" in err
 
+    code, out, err = run_cli(capsys, "eval", "--map",
+                             '{"type":"gallery","name":"scaled-exp","params":{"eps":1e-5}}',
+                             "--z", "0")
+    assert code == 2
+    assert out == ""
+    assert "$.params.eps" in err
+
 
 def test_eval_non_finite_gallery_param_exits_2(capsys):
     code, out, err = run_cli(capsys, "eval", "--map",
@@ -227,11 +234,26 @@ def test_gallery_emits_canonical_specs(capsys):
     spec = json.loads(out)
     assert spec["params"]["base"] == {"type": "gallery", "name": "atomic-inner"}
 
+    code, out, _ = run_cli(capsys, "gallery", "escape")
+    assert json.loads(out)["params"] == {"n": 2}
+
+    code, out, _ = run_cli(capsys, "gallery", "frostman", "--base", "atomic-inner")
+    assert json.loads(out)["params"]["a"] == [0.0, 0.0]
+
 
 def test_gallery_unknown_name_exits_2(capsys):
     code, _, err = run_cli(capsys, "gallery", "nope")
     assert code == 2
     assert "valid names" in err
+
+    code, out, err = run_cli(capsys, "gallery", "frostman")
+    assert code == 2
+    assert out == ""
+    assert "$.params.base" in err
+
+    code, out, err = run_cli(capsys, "gallery", "half", "--k", "3")
+    assert code == 2
+    assert "$.params.k" in err
 
 
 def test_map_from_file(tmp_path, capsys):

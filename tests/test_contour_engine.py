@@ -182,10 +182,11 @@ def test_midpoint_rounding_onto_its_right_end_sorts_after_it():
     t = np.arange(16) / 16
     t[1], t[2] = x, np.nextafter(x, 1.0)
     speed = np.zeros(16)
-    speed[1] = 1e300                  # flags the two steps next to node 1
+    speed[1] = speed[2] = 1e300       # flags the three steps next to nodes 1, 2
     nbad, _, t_mid, pos = valence._bisect(t, np.exp(2j * np.pi * t), speed,
                                           np.array([16]))
-    assert nbad.tolist() == [2] and t_mid[1] == t[2]
+    # the rounded midpoint shares its position with the next one
+    assert nbad.tolist() == [3] and t_mid[1] == t[2] and pos[1] == pos[2]
     merged = np.insert(np.arange(16), pos, 16 + np.arange(len(t_mid)))
     stable = np.argsort(np.concatenate([t, t_mid]), kind="stable")
     assert merged.tolist() == stable.tolist()

@@ -324,7 +324,7 @@ def test_disc_preservation_diagnostic():
     def liar(z):
         return 2.0 * z, np.full_like(z, 2.0)
 
-    handle = DiscMapHandle(liar, "liar", disc_preserving=True)
+    handle = DiscMapHandle(liar, "liar")
     with pytest.raises(DiscPreservationError):
         handle.eval(0.9)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from blaschke_lab.errors import MapSpecError
-from blaschke_lab.mapspec import gallery_spec, parse_map_spec
+from blaschke_lab.mapspec import GALLERY, gallery_spec, parse_map_spec
 
 
 def test_parse_mobius():
@@ -71,6 +71,13 @@ def test_unknown_type_names_path():
                         "outer": {"type": "gallery", "name": "half"},
                         "inner": {"type": "wat"}})
     assert info.value.path == "$.inner"
+    # unhashable names are unknown names too, not a TypeError
+    with pytest.raises(MapSpecError) as info:
+        parse_map_spec({"type": ["mobius"]})
+    assert info.value.path == "$"
+    with pytest.raises(MapSpecError) as info:
+        parse_map_spec({"type": "gallery", "name": ["half"]})
+    assert info.value.path == "$.name"
 
 
 def test_bad_field_names_path():
@@ -108,6 +115,30 @@ def test_malformed_gallery_params_are_spec_errors(text):
         parse_map_spec(text)
 
 
+HALF = {"type": "gallery", "name": "half"}
+SQUARE = {"type": "blaschke", "lambda": [1, 0], "zeros": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("node, path", [
+    ({"type": "mobius", "alpha": [0, 0], "lambda": [1, 0], "extra": 1}, "$.extra"),
+    (dict(SQUARE, extra=1), "$.extra"),
+    ({"type": "compose", "outer": HALF, "inenr": HALF}, "$.inenr"),
+    ({"type": "gallery", "name": "half", "parms": {}}, "$.parms"),
+    ({"type": "gallery", "name": "scaled-exp", "params": {"eps": 1e-5}}, "$.params.eps"),
+    ({"type": "gallery", "name": "half", "params": {"k": 9}}, "$.params.k"),
+    ({"type": "compose", "outer": HALF, "inner": dict(SQUARE, extra=1)}, "$.inner.extra"),
+    ({"type": "gallery", "name": "frostman",
+      "params": {"base": {"type": "gallery", "name": "escape", "params": {"m": 3}}}},
+     "$.params.base.params.m"),
+], ids=["mobius", "blaschke", "compose", "gallery", "scaled-exp-param", "half-param",
+        "nested-compose", "frostman-base"])
+def test_unknown_keys_are_spec_errors_at_their_path(node, path):
+    with pytest.raises(MapSpecError) as info:
+        parse_map_spec(node)
+    assert info.value.path == path
+    assert repr(path.rsplit(".", 1)[1]) in str(info.value)
+
+
 def test_gallery_spec_fills_defaults():
     spec = gallery_spec("scaled-exp")
     assert spec["params"] == {"epsilon": 1e-10, "c": 10.0}
@@ -117,7 +148,8 @@ def test_gallery_spec_fills_defaults():
 
 
 def test_gallery_spec_roundtrips_through_parser():
-    for name in ("half", "scaled-exp", "slit-g", "slit-power", "atomic-inner", "escape"):
-        spec = gallery_spec(name)
+    for name in GALLERY:
+        spec = gallery_spec(name, {"base": HALF} if name == "frostman" else None)
         handle = parse_map_spec(spec)
+        assert handle.spec == spec
         assert handle.eval(0.2 + 0.1j)
