@@ -8,10 +8,12 @@ identical invocations emit identical bytes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
+from . import verifier
 from .errors import BlaschkeLabError, MapSpecError
 from .mapspec import GALLERY, gallery_spec, parse_map_spec
 from .numerics import require_finite
@@ -24,22 +26,33 @@ from .valence import (
     valence_heatmap,
 )
 from .verifier import (
+    VERDICTS,
     PipelineVerdict,
-    check_theorem_3_1,
-    check_theorem_3_2,
-    check_theorem_A,
-    check_theorem_B,
-    check_theorem_C,
-    demo_hurwitz_escape,
+    SuiteReport,
     hurwitz_table_csv,
+    jsonl,
     report_jsonl,
 )
 
 USAGE_ERROR = 2
 IO_ERROR = 3
 
-SUITES = ("theorem-a", "theorem-b", "theorem-c", "theorem-3-1", "theorem-3-2",
-          "hurwitz-demo")
+# suite -> (verifier function, {option: parameter}); the function's signature
+# holds the defaults, and a parameter without one is a required option.  The
+# function is looked up by name at call time, as mapspec._spec_from looks up
+# parse_map_spec, so that a wrapper installed on it also sees CLI runs.
+# --expect (parameter None) is read by the verdict renderer.
+SUITES = {
+    "theorem-a": ("check_theorem_A",
+                  {"seed": "seed", "cases": "n_products", "targets": "n_targets"}),
+    "theorem-b": ("check_theorem_B", {"seed": "seed", "cases": "n_pairs"}),
+    "theorem-c": ("check_theorem_C",
+                  {"seed": "seed", "cases": "n_products", "mobius_cases": "n_mobius"}),
+    "theorem-3-1": ("check_theorem_3_1",
+                    {"candidate": "candidate", "bound": "valence_bound", "expect": None}),
+    "theorem-3-2": ("check_theorem_3_2", {"k": "k", "seed": "seed"}),
+    "hurwitz-demo": ("demo_hurwitz_escape", {"n_list": "n_list", "w": "w"}),
+}
 
 # canonical candidates of the certification pipeline and their verdicts
 EXPECTED_VERDICTS = {
@@ -151,19 +164,18 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-def _candidate_expectation(spec) -> str | None:
-    if spec is None:
-        return None
-    if spec.get("type") == "mobius":
-        return EXPECTED_VERDICTS["mobius"]
-    if spec.get("type") == "gallery":
-        return EXPECTED_VERDICTS.get(spec.get("name"))
-    return None
+def _render_suite(report: SuiteReport):
+    return (report_jsonl(report), report.ok,
+            f"suite={report.suite} cases={report.cases_run} "
+            f"failures={len(report.failures)} wall-time={report.wall_time_s:.2f}s")
 
 
-def _verdict_case(verdict: PipelineVerdict, candidate_spec, expected) -> dict:
+def _render_verdict(verdict: PipelineVerdict, candidate, expect):
+    spec = candidate.spec or {}
+    # only gallery nodes have a name; a Mobius node is known by its type
+    expected = expect or EXPECTED_VERDICTS.get(spec.get("name", spec.get("type")))
     case = {"case": 0, "kind": "pipeline-verdict",
-            "candidate": candidate_spec,
+            "candidate": candidate.spec or candidate.descriptor,
             "verdict": verdict.verdict,
             "boundary_mean": verdict.boundary_mean,
             "detail": verdict.detail}
@@ -173,68 +185,59 @@ def _verdict_case(verdict: PipelineVerdict, candidate_spec, expected) -> dict:
         case["profile"] = [[r, c] for r, c in verdict.profile]
     case["expected"] = expected
     case["ok"] = expected is None or verdict.verdict == expected
-    return case
+    summary = {"summary": {"suite": "theorem-3-1", "verdict": verdict.verdict,
+                           "expected": expected, "ok": case["ok"]}}
+    return jsonl([case, summary]), case["ok"], None
 
 
-def _size(value, default: int) -> int:
-    return default if value is None else value
+def _render_hurwitz(rows, limit_value: int):
+    all_two = all(v == 2 for _, v in rows)
+    return (hurwitz_table_csv(rows, limit_value), all_two and limit_value == 1,
+            f"escape-family valences all 2: {all_two}; limit valence: {limit_value}")
+
+
+# how an option's text becomes its parameter; argparse reads the others
+READERS = {"candidate": load_map_argument, "w": parse_complex,
+           "n_list": lambda text: tuple(int(tok) for tok in text.split(","))}
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in SUITES:
-        print(f"error: unknown suite {suite!r}; valid suites: {', '.join(SUITES)}",
+    if args.suite not in SUITES:
+        print(f"error: unknown suite {args.suite!r}; valid suites: {', '.join(SUITES)}",
               file=sys.stderr)
         return USAGE_ERROR
-
-    if suite in ("theorem-a", "theorem-b", "theorem-c") and args.seed is None:
-        print("error: this suite requires an explicit --seed", file=sys.stderr)
-        return USAGE_ERROR
-
-    if suite == "theorem-a":
-        report = check_theorem_A(args.seed, _size(args.cases, 100), _size(args.targets, 50))
-    elif suite == "theorem-b":
-        report = check_theorem_B(args.seed, _size(args.cases, 50))
-    elif suite == "theorem-c":
-        report = check_theorem_C(args.seed, _size(args.cases, 50),
-                                 _size(args.mobius_cases, 20))
-    elif suite == "theorem-3-2":
-        report = check_theorem_3_2(k=args.k, seed=args.seed if args.seed is not None else 0)
-    elif suite == "hurwitz-demo":
-        n_list = tuple(int(tok) for tok in args.n_list.split(","))
-        rows, limit_value = demo_hurwitz_escape(n_list, parse_complex(args.w))
-        payload = hurwitz_table_csv(rows, limit_value)
-        status = _write_out(args.out, payload)
-        if status != 0:
-            return status
-        ok = all(v == 2 for _, v in rows) and limit_value == 1
-        print(f"escape-family valences all 2: {all(v == 2 for _, v in rows)}; "
-              f"limit valence: {limit_value}", file=sys.stderr)
-        return 0 if ok else 1
-    else:  # theorem-3-1
-        if not args.candidate:
-            print("error: theorem-3-1 requires --candidate", file=sys.stderr)
+    name, params = SUITES[args.suite]
+    function = getattr(verifier, name)
+    # the verify options default to absent, so these are the ones given
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "fn", "suite", "out")}
+    for option in given:
+        if option not in params:
+            print(f"error: {args.suite} does not take --{option.replace('_', '-')}",
+                  file=sys.stderr)
             return USAGE_ERROR
-        handle = load_map_argument(args.candidate)
-        verdict = check_theorem_3_1(handle, valence_bound=args.bound)
-        expected = args.expect or _candidate_expectation(handle.spec)
-        case = _verdict_case(verdict, handle.spec or handle.descriptor, expected)
-        lines = [json.dumps(case, sort_keys=True, separators=(",", ":"))]
-        summary = {"summary": {"suite": suite, "verdict": verdict.verdict,
-                               "expected": expected, "ok": case["ok"]}}
-        lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
-        status = _write_out(args.out, "\n".join(lines) + "\n")
-        if status != 0:
-            return status
-        return 0 if case["ok"] else 1
+    required = [key for key, slot in inspect.signature(function).parameters.items()
+                if slot.default is slot.empty]
+    for option, param in params.items():
+        if param in required and option not in given:
+            print(f"error: {args.suite} requires --{option.replace('_', '-')}", file=sys.stderr)
+            return USAGE_ERROR
 
-    status = _write_out(args.out, report_jsonl(report))
+    kwargs = {params[option]: READERS.get(option, lambda value: value)(value)
+              for option, value in given.items() if params[option] is not None}
+    result = function(**kwargs)
+    if isinstance(result, SuiteReport):
+        payload, ok, note = _render_suite(result)
+    elif isinstance(result, PipelineVerdict):
+        payload, ok, note = _render_verdict(result, kwargs["candidate"], given.get("expect"))
+    else:
+        payload, ok, note = _render_hurwitz(*result)
+    status = _write_out(getattr(args, "out", None), payload)
     if status != 0:
         return status
-    print(f"suite={report.suite} cases={report.cases_run} "
-          f"failures={len(report.failures)} wall-time={report.wall_time_s:.2f}s",
-          file=sys.stderr)
-    return 0 if report.ok else 1
+    if note is not None:
+        print(note, file=sys.stderr)
+    return 0 if ok else 1
 
 
 def cmd_gallery(args) -> int:
@@ -277,21 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--out", help="output path (default: stdout)")
     p_heat.set_defaults(fn=cmd_heatmap)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
+    # each option is absent unless given; the suite's signature holds its default
+    p_ver = sub.add_parser("verify", help="run a verification suite",
+                           argument_default=argparse.SUPPRESS)
     p_ver.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--cases", type=int, default=None)
-    p_ver.add_argument("--targets", type=int, default=None)
-    p_ver.add_argument("--mobius-cases", type=int, default=None)
-    p_ver.add_argument("--k", type=int, default=2)
+    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--cases", type=int)
+    p_ver.add_argument("--targets", type=int)
+    p_ver.add_argument("--mobius-cases", type=int)
+    p_ver.add_argument("--k", type=int)
     p_ver.add_argument("--candidate", help="map spec for theorem-3-1")
-    p_ver.add_argument("--bound", type=int, default=1,
+    p_ver.add_argument("--bound", type=int,
                        help="claimed valence bound for theorem-3-1")
-    p_ver.add_argument("--expect",
+    p_ver.add_argument("--expect", choices=VERDICTS,
                        help="expected verdict for theorem-3-1 (overrides inference)")
-    p_ver.add_argument("--w", default="0.1", help="target for hurwitz-demo")
-    p_ver.add_argument("--n-list", default="2,10,100",
-                       help="comma list of escape indices for hurwitz-demo")
+    p_ver.add_argument("--w", help="target for hurwitz-demo")
+    p_ver.add_argument("--n-list", help="comma list of escape indices for hurwitz-demo")
     p_ver.add_argument("--out", help="output path (default: stdout)")
     p_ver.set_defaults(fn=cmd_verify)
 
@@ -315,10 +319,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except MapSpecError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except ValueError as err:
+    except (MapSpecError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except BlaschkeLabError as err:

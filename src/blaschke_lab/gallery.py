@@ -122,24 +122,19 @@ def slit_distance(z: complex) -> float:
     return abs(z - 1.0)
 
 
-def make_power_map(base: DiscMapHandle, k: int) -> DiscMapHandle:
-    """f = base^k with chain-rule derivative; base must omit 0 so f' != 0."""
+def make_slit_power(k: int = 2) -> DiscMapHandle:
+    """f = g^k for the slit map g, with chain-rule derivative; g omits 0 so f' != 0."""
     if int(k) != k or k < 2:
         raise ValueError("power exponent k must be an integer >= 2")
     k = int(k)
+    base = make_slit_map()
 
     def fn(z):
         bv, bd = base.eval_many(z)
         return bv ** k, k * bv ** (k - 1) * bd
 
-    spec = None
-    if base.spec == {"type": "gallery", "name": "slit-g"}:
-        spec = {"type": "gallery", "name": "slit-power", "params": {"k": k}}
-    return DiscMapHandle(fn, f"({base.descriptor})^{k}", spec=spec)
-
-
-def make_slit_power(k: int = 2) -> DiscMapHandle:
-    return make_power_map(make_slit_map(), k)
+    return DiscMapHandle(fn, f"({base.descriptor})^{k}",
+                         spec={"type": "gallery", "name": "slit-power", "params": {"k": k}})
 
 
 def power_preimages(w: complex, k: int) -> list:

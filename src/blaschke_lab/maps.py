@@ -328,10 +328,8 @@ def mobius_recover(f: DiscMapHandle):
         seed = 0.9 * seed / abs(seed)
     z = seed
     value, deriv = f.eval(z)
-    converged = False
     for _ in range(RECOVER_MAX_ITER):
         if abs(value) < RECOVER_NEWTON_TOL:
-            converged = True
             break
         if deriv == 0:
             break
@@ -349,7 +347,7 @@ def mobius_recover(f: DiscMapHandle):
             t /= 2.0
         if not moved:
             break
-    if not converged and abs(value) >= RECOVER_NEWTON_TOL:
+    if abs(value) >= RECOVER_NEWTON_TOL:
         raise NotAnAutomorphismError(
             f"{f.descriptor}: Newton search for the zero stalled at |f| = {abs(value):.3e}")
     alpha = z

@@ -85,8 +85,8 @@ def _reject_unknown_keys(node: dict, known, path: str):
 
 
 def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
-    """Turn a spec object (or JSON string) into an evaluation handle."""
-    if isinstance(data, str):
+    """Turn a spec object (or, at the root only, JSON text) into an evaluation handle."""
+    if isinstance(data, str) and path == "$":
         try:
             data = json.loads(data)
         except json.JSONDecodeError as err:

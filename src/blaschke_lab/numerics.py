@@ -46,8 +46,6 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0j,))
         return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
 

@@ -75,17 +75,20 @@ class SuiteReport:
         return self.cases_run > 0 and not self.failures
 
 
+def jsonl(records) -> str:
+    """One compact, key-sorted JSON line per record."""
+    return "".join(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                   for record in records)
+
+
 def report_jsonl(report: SuiteReport) -> str:
     """One JSON line per case plus a summary line (wall time excluded so
     identical invocations produce identical bytes)."""
-    lines = [json.dumps(case, sort_keys=True, separators=(",", ":"))
-             for case in report.cases]
     summary = {"summary": {"suite": report.suite, "seed": report.seed,
                            "cases_run": report.cases_run,
                            "failures": len(report.failures),
                            "ok": report.ok}}
-    lines.append(json.dumps(summary, sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    return jsonl([*report.cases, summary])
 
 
 def _sample_disc(rng, radius: float) -> complex:
@@ -269,12 +272,16 @@ def check_theorem_C(seed: int, n_products: int = 50, n_mobius: int = 20) -> Suit
     return SuiteReport("theorem-c", seed, tuple(cases), time.perf_counter() - t0)
 
 
+# the verdicts of the certification pipeline, the pass first
+VERDICTS = ("automorphism", "not-inner", "valence-unbounded", "vanishing-derivative",
+            "not-an-automorphism")
+
+
 @dataclass(frozen=True)
 class PipelineVerdict:
     """Outcome of the inner-automorphism certification pipeline."""
 
-    verdict: str                  # automorphism | not-inner | valence-unbounded
-    #                               | vanishing-derivative | not-an-automorphism
+    verdict: str                  # one of VERDICTS
     boundary_mean: float
     sup_error: float | None = None
     profile: tuple | None = None  # ((r, count), ...) at the diagnostic radii

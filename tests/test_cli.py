@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from blaschke_lab import verifier
 from blaschke_lab.cli import format_complex, main, parse_complex
 
 
@@ -158,6 +159,48 @@ def test_verify_zero_size_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "positive" in err
+
+
+def test_verify_theorem_3_1_requires_candidate(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorem-3-1")
+    assert code == 2
+    assert out == ""
+    assert "--candidate" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("theorem-b", "--seed", "1", "--targets", "7"), "--targets"),
+    (("hurwitz-demo", "--seed", "3"), "--seed"),
+    (("theorem-3-1", "--candidate", "half", "--cases", "3"), "--cases"),
+    (("theorem-a", "--k", "3", "--seed", "1"), "--k"),
+    (("theorem-b", "--seed", "1", "--cases", "1", "--mobius-cases", "2"), "--mobius-cases"),
+    (("theorem-3-2", "--candidate", "half"), "--candidate"),
+    (("theorem-c", "--seed", "1", "--expect", "automorphism"), "--expect"),
+    (("theorem-a", "--seed", "1", "--n-list", "2,3"), "--n-list"),
+], ids=["b-targets", "hurwitz-seed", "3-1-cases", "a-k", "b-mobius-cases",
+        "3-2-candidate", "c-expect", "a-n-list"])
+def test_verify_option_the_suite_does_not_take_exits_2(capsys, argv, option):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+def test_verify_expect_takes_only_verdicts(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorem-3-1", "--candidate", "slit-power",
+                             "--expect", "not_inner")
+    assert code == 2
+    assert out == ""
+    assert "not-inner" in err
+
+
+def test_verify_calls_the_suite_function_bound_on_the_verifier_module(monkeypatch, capsys):
+    # a wrapper installed on the verifier's name (a tracer, say) sees CLI runs
+    monkeypatch.setattr(verifier, "demo_hurwitz_escape",
+                        lambda n_list=(2,), w=0.1: ([(7, 2)], 1))
+    code, out, _ = run_cli(capsys, "verify", "hurwitz-demo")
+    assert code == 0
+    assert out == "n,valence\n7,2\nlimit,1\n"
 
 
 def test_verify_unknown_suite(capsys):

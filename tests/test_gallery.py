@@ -13,7 +13,6 @@ from blaschke_lab.gallery import (
     make_escape_sequence,
     make_half_map,
     make_limit_of_escape,
-    make_power_map,
     make_scaled_exponential,
     make_slit_map,
     make_slit_power,
@@ -171,7 +170,7 @@ def test_power_map_membership_oracle():
 
 def test_power_map_validation():
     with pytest.raises(ValueError):
-        make_power_map(make_slit_map(), 1)
+        make_slit_power(1)
 
 
 def test_atomic_inner_values():

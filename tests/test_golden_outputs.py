@@ -13,6 +13,7 @@ from blaschke_lab.cli import main
 
 SQUARE = '{"type":"blaschke","lambda":[1,0],"zeros":[[0,0],[0,0]]}'
 CUBE = '{"type":"blaschke","lambda":[1,0],"zeros":[[0,0],[0,0],[0,0]]}'
+MOBIUS = '{"type":"mobius","alpha":[0.3,0],"lambda":[0.5,0.8660254037844386]}'
 
 GOLDEN = [
     (["verify", "theorem-a", "--seed", "1", "--cases", "3", "--targets", "5"],
@@ -38,6 +39,15 @@ GOLDEN = [
     # jitter, r=0.50005
     (["valence", "--map", CUBE, "--w", "0.125"],
      "3d79dc81d6ce3a16b8506046136361395da68a8b3faa5a9136900f536d2987e8"),
+    (["verify", "theorem-3-2", "--k", "2"],
+     "56685372a23606df77638b16a1e5ffd3da19a94f26a2a81d04f1a147ddaa5527"),
+    # k >= 3 draws its collision pair from seed + 1
+    (["verify", "theorem-3-2", "--k", "3", "--seed", "5"],
+     "8b0ddaa27f444156028775352c85aea5ed8680f15386076eca3c32a208c3c7bb"),
+    (["verify", "hurwitz-demo"],
+     "52b30685c7169c5960360d262dca879403dbb9273a40516eabf342831cf75c31"),
+    (["verify", "theorem-3-1", "--candidate", MOBIUS],
+     "74f5cbf565cae4dabea99405a96b35b48411742f6a326ef02432544eb504b69f"),
 ]
 
 

@@ -115,6 +115,22 @@ def test_malformed_gallery_params_are_spec_errors(text):
         parse_map_spec(text)
 
 
+@pytest.mark.parametrize("node, path", [
+    ({"type": "compose", "outer": '{"type":"gallery","name":"half"}',
+      "inner": {"type": "gallery", "name": "half"}}, "$.outer"),
+    ({"type": "compose", "outer": {"type": "gallery", "name": "half"},
+      "inner": "slit-power"}, "$.inner"),
+    ({"type": "gallery", "name": "frostman",
+      "params": {"base": '{"type":"gallery","name":"atomic-inner"}'}}, "$.params.base"),
+], ids=["encoded-outer", "bare-name-inner", "encoded-frostman-base"])
+def test_only_the_root_is_decoded_from_json_text(node, path):
+    for data in (node, json.dumps(node)):
+        with pytest.raises(MapSpecError) as info:
+            parse_map_spec(data)
+        assert info.value.path == path
+        assert "map spec node must be a JSON object" in str(info.value)
+
+
 HALF = {"type": "gallery", "name": "half"}
 SQUARE = {"type": "blaschke", "lambda": [1, 0], "zeros": [[0, 0], [0, 0]]}
 

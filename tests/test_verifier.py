@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
 from blaschke_lab.gallery import (
@@ -11,7 +12,14 @@ from blaschke_lab.gallery import (
     make_scaled_exponential,
     make_slit_power,
 )
-from blaschke_lab.maps import MobiusAutomorphism, blaschke_handle, mobius_handle, opaque
+from blaschke_lab.maps import (
+    BlaschkeProduct,
+    DiscMapHandle,
+    MobiusAutomorphism,
+    blaschke_handle,
+    mobius_handle,
+    opaque,
+)
 from blaschke_lab.verifier import (
     boundary_modulus_stats,
     check_theorem_3_1,
@@ -101,6 +109,34 @@ def test_pipeline_verdicts_separate_canonical_triple():
         check_theorem_3_1(make_atomic_inner()).verdict,
     }
     assert verdicts == {"automorphism", "not-inner", "valence-unbounded"}
+
+
+def test_pipeline_verdict_not_an_automorphism():
+    # inner enough at the probe radius, univalent, f' = 0.995 never vanishes,
+    # but the recovered constant has modulus 0.995
+    shrink = DiscMapHandle(lambda z: (0.995 * z, np.full_like(z, 0.995)), "0.995z")
+    verdict = check_theorem_3_1(shrink)
+    assert verdict.verdict == "not-an-automorphism"
+    assert "modulus" in verdict.detail
+
+
+def test_pipeline_verdict_vanishing_derivative():
+    a = complex(derivative_grid()[1234])
+    double = blaschke_handle(BlaschkeProduct(lam=1 + 0j, zeros=(a, a)))
+    verdict = check_theorem_3_1(double, valence_bound=2)
+    assert verdict.verdict == "vanishing-derivative"
+
+
+def test_pipeline_verdict_valence_scan_error():
+    def identity_with_hole(z):
+        values = z.copy()
+        values[np.abs(np.abs(z) - 0.5) < 1e-9] = np.nan
+        return values, np.ones_like(z)
+
+    verdict = check_theorem_3_1(DiscMapHandle(identity_with_hole, "identity-with-hole"))
+    assert verdict.verdict == "valence-unbounded"
+    assert verdict.profile is None
+    assert verdict.detail.startswith("valence scan failed")
 
 
 def test_boundary_modulus_separates_classes():
