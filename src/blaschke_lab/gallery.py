@@ -8,6 +8,7 @@ The chain pins one normalisation of the Riemann map: g(0) = -(3 - 2*sqrt(2)).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +44,18 @@ def make_scaled_exponential(epsilon: float = 1e-10, c: float = 10.0) -> DiscMapH
     return DiscMapHandle(fn, f"scaled-exp(epsilon={epsilon:g}, c={c:g})", spec=spec)
 
 
+def _branch_hits(branch, radius: float) -> list:
+    """The points branch(k) inside |z| < radius for k = 0, 1, -1, 2, -2, ...,
+    up to the first k > 0 whose pair has no hit; the branches must leave
+    the radius, or the walk runs until rounding stops it."""
+    hits = [z for z in (branch(0),) if abs(z) < radius]
+    for k in itertools.count(1):
+        pair = [z for z in (branch(k), branch(-k)) if abs(z) < radius]
+        if not pair:
+            return hits
+        hits += pair
+
+
 def scaled_exp_preimages(w: complex, epsilon: float = 1e-10, c: float = 10.0) -> list:
     """All solutions of epsilon e^{c z} = w in the open disc, by explicit
     logarithm branches z_k = (ln(|w|/epsilon) + i(Arg w + 2 pi k))/c."""
@@ -51,18 +64,7 @@ def scaled_exp_preimages(w: complex, epsilon: float = 1e-10, c: float = 10.0) ->
         return []
     base = math.log(abs(w) / epsilon)
     arg = cmath.phase(w)
-    out = []
-    k = 0
-    while True:
-        hit = False
-        for kk in ((0,) if k == 0 else (k, -k)):
-            z = complex(base, arg + 2.0 * math.pi * kk) / c
-            if abs(z) < 1.0:
-                out.append(z)
-                hit = True
-        if not hit and k > 0:
-            break
-        k += 1
+    out = _branch_hits(lambda k: complex(base, arg + 2.0 * math.pi * k) / c, 1.0)
     return sorted(out, key=lambda z: (z.imag, z.real))
 
 
@@ -146,15 +148,8 @@ def power_preimages(w: complex, k: int) -> list:
     w = complex(w)
     if w == 0:
         return []
-    r = abs(w) ** (1.0 / k)
-    base = cmath.phase(w)
-    out = []
-    for j in range(k):
-        zeta = r * cmath.exp(1j * (base + 2.0 * math.pi * j) / k)
-        if zeta.imag == 0.0 and zeta.real >= 0.0:
-            continue
-        out.append(slit_h(zeta))
-    return out
+    roots = (w ** (1.0 / k) * cmath.exp(2j * math.pi * j / k) for j in range(k))
+    return [slit_h(z) for z in roots if not (z.imag == 0.0 and z.real >= 0.0)]
 
 
 def slit_collision_pair(u1: complex = 0.3 + 0.3j):
@@ -189,21 +184,15 @@ def atomic_preimage_count(r: float, w: complex = math.exp(-1)) -> int:
     w = complex(w)
     if w == 0 or abs(w) >= 1.0:
         raise ValueError("target must satisfy 0 < |w| < 1")
+    if not r < 1.0:
+        raise ValueError("radius must be below 1: every branch has a solution in the disc")
     logw = cmath.log(w)
-    count = 0
-    k = 0
-    while True:
-        hits = 0
-        for kk in ((0,) if k == 0 else (k, -k)):
-            c = logw + 2j * math.pi * kk
-            z = (c + 1.0) / (c - 1.0)
-            if abs(z) < r:
-                hits += 1
-        count += hits
-        if hits == 0 and k > 0:
-            break
-        k += 1
-    return count
+
+    def branch(k):
+        c = logw + 2j * math.pi * k
+        return (c + 1.0) / (c - 1.0)
+
+    return len(_branch_hits(branch, r))
 
 
 def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:

@@ -130,12 +130,9 @@ class DiscMapHandle:
 def mobius_eval(m: MobiusAutomorphism, z: complex):
     """Value and derivative of the automorphism at z (|z| <= 1 allowed)."""
     z = require_finite(z, "z")
-    denom = 1.0 - m.alpha.conjugate() * z
-    if abs(denom) < 1e-14:
+    if abs(1.0 - m.alpha.conjugate() * z) < 1e-14:
         raise PoleError(f"evaluation at z = {z!r} hits the pole of the Mobius map")
-    value = m.lam * (z - m.alpha) / denom
-    deriv = m.lam * (1.0 - abs(m.alpha) ** 2) / (denom * denom)
-    return value, deriv
+    return blaschke_eval(BlaschkeProduct(lam=m.lam, zeros=(m.alpha,)), z)
 
 
 def mobius_inverse(m: MobiusAutomorphism) -> MobiusAutomorphism:
@@ -153,34 +150,22 @@ def _blaschke_eval_vec(b: BlaschkeProduct, z: np.ndarray):
     zc = zeros.conjugate()
     gap = flat[None, :] - zeros
     den = 1.0 - zc * flat[None, :]
-    values = b.lam * np.prod(gap / den, axis=0)
+    factors = gap / den
+    values = b.lam * np.prod(factors, axis=0)
     # Logarithmic derivative is cheap and exact away from the zeros.
     with np.errstate(divide="ignore", invalid="ignore"):
         logsum = (1.0 / gap + zc / den).sum(axis=0)
         derivs = values * logsum
     near = (np.abs(gap) < 1e-12 * (1.0 + np.abs(zeros))).any(axis=0)
     if near.any():
-        for i in np.nonzero(near)[0]:
-            derivs[i] = _blaschke_deriv_product_rule(b, complex(flat[i]))
+        # product rule by prefix and suffix products, safe on a zero
+        f, d = factors[:, near], den[:, near]
+        ones = np.ones_like(f[:1])
+        before = np.cumprod(np.concatenate([ones, f[:-1]]), axis=0)
+        after = np.cumprod(np.concatenate([ones, f[:0:-1]]), axis=0)[::-1]
+        dfactors = (1.0 - np.abs(zeros) ** 2) / (d * d)
+        derivs[near] = b.lam * (dfactors * before * after).sum(axis=0)
     return values.reshape(shape), derivs.reshape(shape)
-
-
-def _blaschke_deriv_product_rule(b: BlaschkeProduct, z: complex) -> complex:
-    """O(n^2) product-rule derivative; safe when z sits on a zero."""
-    factors = []
-    dfactors = []
-    for a in b.zeros:
-        denom = 1.0 - a.conjugate() * z
-        factors.append((z - a) / denom)
-        dfactors.append((1.0 - abs(a) ** 2) / (denom * denom))
-    total = 0j
-    for j in range(len(factors)):
-        term = dfactors[j]
-        for k in range(len(factors)):
-            if k != j:
-                term *= factors[k]
-        total += term
-    return b.lam * total
 
 
 def blaschke_eval(b: BlaschkeProduct, z: complex):
@@ -235,12 +220,12 @@ def blaschke_preimages(b: BlaschkeProduct, w: complex) -> RootSet:
         raise InternalConsistencyError(
             f"preimage polynomial degree {target.degree} != {b.degree}")
     rootset = aberth_roots(target)
-    for root in rootset.roots:
+    values, _ = _blaschke_eval_vec(b, np.array(rootset.roots))
+    for root, value in zip(rootset.roots, values.tolist()):
         if abs(root) > 1.0 + ROOT_ANNULUS:
             raise InternalConsistencyError(
                 f"preimage root {root!r} outside the closed disc: solver bug",
                 payload=rootset)
-        value, _ = blaschke_eval(b, root)
         if abs(value - w) > PREIMAGE_RESIDUAL_TOL:
             raise InternalConsistencyError(
                 f"preimage residual |B(root) - w| = {abs(value - w):.3e} "
@@ -372,15 +357,11 @@ def mobius_recover(f: DiscMapHandle):
 
 
 def mobius_handle(m: MobiusAutomorphism) -> DiscMapHandle:
-    as_blaschke = BlaschkeProduct(lam=m.lam, zeros=(m.alpha,))
-
-    def fn(z):
-        return _blaschke_eval_vec(as_blaschke, z)
-
-    spec = {"type": "mobius", "alpha": [m.alpha.real, m.alpha.imag],
-            "lambda": [m.lam.real, m.lam.imag]}
-    return DiscMapHandle(fn, f"mobius(alpha={m.alpha:.6g}, lambda={m.lam:.6g})",
-                         blaschke=as_blaschke, spec=spec)
+    handle = blaschke_handle(BlaschkeProduct(lam=m.lam, zeros=(m.alpha,)))
+    handle.descriptor = f"mobius(alpha={m.alpha:.6g}, lambda={m.lam:.6g})"
+    handle.spec = {"type": "mobius", "alpha": [m.alpha.real, m.alpha.imag],
+                   "lambda": [m.lam.real, m.lam.imag]}
+    return handle
 
 
 def blaschke_handle(b: BlaschkeProduct) -> DiscMapHandle:

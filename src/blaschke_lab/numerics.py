@@ -83,15 +83,10 @@ def poly_from_roots(roots, leading: complex) -> Polynomial:
     lead = require_finite(leading, "leading")
     if lead == 0:
         raise ValueError("leading coefficient must be nonzero")
-    coeffs = [lead]
+    p = Polynomial((lead,))
     for r in roots:
-        r = require_finite(r, "root")
-        nxt = [0j] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] -= r * c
-            nxt[k + 1] += c
-        coeffs = nxt
-    return Polynomial(tuple(coeffs))
+        p = poly_mul(p, Polynomial((-require_finite(r, "root"), 1.0)))
+    return p
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -114,13 +109,9 @@ def poly_sub(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def poly_eval(p: Polynomial, z: complex):
     """Horner value and first derivative at z, simultaneously."""
-    z = require_finite(z, "z")
-    v = 0j
-    d = 0j
-    for c in reversed(p.coeffs):
-        d = d * z + v
-        v = v * z + c
-    return v, d
+    v, d = _poly_eval_vec(np.asarray(p.coeffs, dtype=complex),
+                          np.array([require_finite(z, "z")]))
+    return complex(v[0]), complex(d[0])
 
 
 def _poly_eval_vec(coeffs: np.ndarray, z: np.ndarray):
@@ -233,7 +224,8 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None) -> Root
     merged = _merge_clusters(points, CLUSTER_RADIUS)
     roots = tuple(r for r, _ in merged)
     mults = tuple(m for _, m in merged)
-    residuals = tuple(float(abs(poly_eval(p, r)[0])) for r in roots)
+    values, _ = _poly_eval_vec(coeffs, np.array(roots, dtype=complex))
+    residuals = tuple(abs(v) for v in values.tolist())
 
     if sum(mults) != p.degree:
         raise SolverFailure(

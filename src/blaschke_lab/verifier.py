@@ -18,16 +18,16 @@ import numpy as np
 
 from .errors import BlaschkeLabError, NotAnAutomorphismError
 from .gallery import (
+    _slit_g_vec,
     _slit_h_vec,
     make_escape_sequence,
     make_half_map,
     make_limit_of_escape,
     make_scaled_exponential,
     make_slit_power,
+    power_preimages,
     scaled_exp_preimages,
     slit_collision_pair,
-    slit_g,
-    slit_h,
 )
 from .maps import (
     BlaschkeProduct,
@@ -294,8 +294,11 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
 
     Each stage failure is a distinct verdict, never an exception.  The
     valence stage attaches a growth profile at the radii (0.9, 0.99, 0.999)
-    for the probe target f(0) when it fails.
+    for the probe target f(0) when it fails.  A bound below 1, which no
+    non-constant map meets, raises ValueError before any stage runs.
     """
+    if valence_bound < 1:
+        raise ValueError(f"valence bound must be at least 1, got {valence_bound}")
     stats = boundary_modulus_stats(candidate)
     if stats["mean"] <= INNER_MEAN_THRESHOLD:
         return PipelineVerdict(
@@ -349,10 +352,8 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
     r = 0.99 * np.sqrt(rng.uniform(0, 1, 1000))
     th = rng.uniform(0, 2 * math.pi, 1000)
     u = r * np.exp(1j * th)
-    worst = 0.0
-    for point in u:
-        value, _ = slit_g(complex(point))
-        worst = float(max(worst, abs(slit_h(value) - complex(point))))
+    # Python's abs, not np.abs: their complex moduli differ in the last bit
+    worst = max(abs(e) for e in (_slit_h_vec(_slit_g_vec(u)[0]) - u).tolist())
     cases.append({"case": 0, "kind": "roundtrip", "samples": 1000,
                   "max_error": worst, "ok": bool(worst < 1e-9)})
 
@@ -360,10 +361,7 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
         u1, u2 = slit_collision_pair()
     else:
         rng_w = np.random.default_rng(seed + 1)
-        w0 = _sample_disc(rng_w, 0.5)
-        roots = [w0 ** (1.0 / k) * cmath.exp(2j * math.pi * j / k) for j in range(k)]
-        admissible = [z for z in roots if not (z.imag == 0 and z.real >= 0)]
-        u1, u2 = (slit_h(z) for z in admissible[:2])
+        u1, u2 = power_preimages(_sample_disc(rng_w, 0.5), k)[:2]
     v1, _ = f.eval(u1)
     v2, _ = f.eval(u2)
     cases.append({"case": 1, "kind": "non-injectivity",

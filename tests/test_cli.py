@@ -168,6 +168,16 @@ def test_verify_theorem_3_1_requires_candidate(capsys):
     assert "--candidate" in err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_verify_theorem_3_1_bound_below_one_exits_2(capsys, bound):
+    mobius = '{"type":"mobius","alpha":[0.3,0],"lambda":[0.5,0.8660254037844386]}'
+    code, out, err = run_cli(capsys, "verify", "theorem-3-1", "--candidate", mobius,
+                             "--bound", bound)
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err
+
+
 @pytest.mark.parametrize("argv,option", [
     (("theorem-b", "--seed", "1", "--targets", "7"), "--targets"),
     (("hurwitz-demo", "--seed", "3"), "--seed"),

@@ -168,6 +168,24 @@ def test_power_map_membership_oracle():
     assert power_preimages(0.0, 2) == []
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_power_preimages_are_the_kth_roots_off_the_slit(k):
+    f = make_slit_power(k)
+    rng = np.random.default_rng(40 + k)
+    for w in disc_samples(rng, 50, radius=0.9):
+        w = complex(w)
+        roots = [abs(w) ** (1 / k) * cmath.exp(1j * (cmath.phase(w) + 2 * math.pi * j) / k)
+                 for j in range(k)]
+        off_slit = [z for z in roots if not (z.imag == 0 and z.real >= 0)]
+        pres = power_preimages(w, k)
+        assert len(pres) == len(off_slit)
+        for u in pres:
+            value, _ = f.eval(u)
+            assert abs(value - w) < 1e-9
+    # a positive real w has one k-th root on the slit, which has no preimage
+    assert len(power_preimages(0.5, k)) == k - 1
+
+
 def test_power_map_validation():
     with pytest.raises(ValueError):
         make_slit_power(1)
@@ -187,6 +205,12 @@ def test_atomic_profile_growth():
     for r, count in prof:
         assert count == 2 * int(r / (math.pi * math.sqrt(1 - r * r))) + 1
         assert count == atomic_preimage_count(r)
+
+
+def test_atomic_preimage_count_rejects_radius_one():
+    # every branch has a solution inside the disc: there is no finite count
+    with pytest.raises(ValueError):
+        atomic_preimage_count(1.0)
 
 
 def test_frostman_zero_shift_is_negation():

@@ -114,6 +114,40 @@ def test_blaschke_eval_derivative_at_zero_of_map():
     assert abs(d - (1 - 0.09) / (1 - 0.09) ** 2) < 1e-14
 
 
+ON_ZERO_LAM = cmath.exp(0.7j)
+ON_ZERO_ZEROS = (0.3 + 0j, -0.5j, 0.2 + 0.4j)
+# B'(a_j) = lam/(1 - |a_j|^2) * prod_{k != j} (a_j - a_k)/(1 - conj(a_k) a_j), at a_j = 0.3
+ON_ZERO_DERIVATIVE = ON_ZERO_LAM / (1 - 0.09) * np.prod(
+    [(0.3 - a) / (1 - a.conjugate() * 0.3) for a in ON_ZERO_ZEROS[1:]])
+
+
+def test_blaschke_eval_derivative_at_simple_zero_of_degree_3():
+    b = BlaschkeProduct(lam=ON_ZERO_LAM, zeros=ON_ZERO_ZEROS)
+    v, d = blaschke_eval(b, 0.3)
+    assert v == 0j
+    assert abs(d - ON_ZERO_DERIVATIVE) < 1e-15
+
+
+def test_blaschke_eval_derivative_at_double_zero_is_zero():
+    b = BlaschkeProduct(lam=1.0 + 0j, zeros=(0.3 + 0j, 0.3 + 0j, 0.1 + 0j))
+    v, d = blaschke_eval(b, 0.3)
+    assert v == 0j
+    assert d == 0j
+
+
+def test_eval_many_mixes_nodes_on_and_off_the_zeros():
+    b = BlaschkeProduct(lam=ON_ZERO_LAM, zeros=ON_ZERO_ZEROS)
+    z = np.array([0.3, 0.1 + 0.1j, 0.3, -0.6 + 0.2j, 0.5j])
+    values, derivs = blaschke_handle(b).eval_many(z)
+    assert np.all(np.isfinite(derivs))
+    for i in (0, 2):
+        assert values[i] == 0j
+        assert abs(derivs[i] - ON_ZERO_DERIVATIVE) < 1e-15
+    for i in (1, 3, 4):
+        v, d = blaschke_eval(b, complex(z[i]))
+        assert abs(values[i] - v) < 1e-15 and abs(derivs[i] - d) < 1e-14
+
+
 def test_blaschke_boundary_unimodularity_64():
     b = BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 0.6 + 0j))
     for k in range(64):

@@ -89,6 +89,15 @@ def test_pipeline_verdict_automorphism():
     assert verdict.sup_error < 1e-9
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_pipeline_rejects_a_bound_below_one_before_any_stage(bound):
+    def untouchable(z):
+        raise AssertionError("a stage evaluated the candidate")
+
+    with pytest.raises(ValueError, match="at least 1"):
+        check_theorem_3_1(DiscMapHandle(untouchable, "untouchable"), valence_bound=bound)
+
+
 def test_pipeline_verdict_not_inner():
     verdict = check_theorem_3_1(make_slit_power(2), valence_bound=2)
     assert verdict.verdict == "not-inner"
