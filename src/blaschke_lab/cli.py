@@ -133,7 +133,7 @@ def cmd_valence(args) -> int:
     handle = load_map_argument(args.map)
     w = parse_complex(args.w)
     schedule = None
-    if args.schedule:
+    if args.schedule is not None:
         schedule = tuple(float(tok) for tok in args.schedule.split(","))
     report = valence_at(handle, w, schedule=schedule)
     print(f"w = {format_complex(w)}")

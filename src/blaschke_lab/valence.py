@@ -136,22 +136,17 @@ def _evaluate(f, z, sizes):
     wide = (sizes > 1).nonzero()[0]
     alone = (sizes == 1).nonzero()[0]
     shared = np.repeat(sizes > 1, sizes) if len(alone) else slice(None)
-    batch, errors = None, {}
+    values = np.zeros(len(z), dtype=complex)
+    derivs = np.zeros(len(z), dtype=complex)
+    errors = {}
     if len(wide):
         try:
-            batch = f.eval_many(z[shared])
+            values[shared], derivs[shared] = f.eval_many(z[shared])
         except Exception as err:
             if len(wide) == 1:
                 errors[wide[0]] = err
             else:
                 alone = np.arange(len(sizes))
-    if batch is not None and not len(alone):
-        values, derivs = batch
-        return values, derivs, errors
-    values = np.zeros(len(z), dtype=complex)
-    derivs = np.zeros(len(z), dtype=complex)
-    if batch is not None:
-        values[shared], derivs[shared] = batch
     ends = sizes.cumsum()
     for b in alone:
         part = slice(ends[b] - sizes[b], ends[b])
@@ -236,9 +231,10 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
     Each entry is ``(count, residual)`` or the exception that refining the
     contour on its own raises; the bits are the same either way.  Contours
     advance in lock-step: one round bisects the flagged steps of every live
-    contour, and one ``f.eval_many`` call evaluates the new midpoints of all
-    of them plus the initial nodes of contours admitted this round.  New
-    contours are admitted while the live nodes plus each newcomer's
+    contour, and one ``f.eval_many`` call evaluates the new nodes of all of
+    them.  A contour admitted in a round joins the live ones with no nodes
+    and ``initial_nodes`` flagged steps, whose new nodes are its grid.
+    Contours are admitted while the live nodes plus each newcomer's
     projected size (the mean final size of the contours already resolved)
     stay within WAVE_NODES.  Every r must lie in (0, 1); callers check it.
     """
@@ -259,27 +255,21 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
     speed = np.empty(0)
     resolved = resolved_nodes = queued = 0
     while len(ids) or queued < len(rs):
-        grow = np.zeros(0, dtype=bool)
-        growth = nbad = pos = np.empty(0, dtype=np.intp)
-        t_mid = np.empty(0)
-        if len(ids):
-            nbad, sums, t_mid, pos = _bisect(t, v, speed, sizes)
-            for c, total in sums:
-                out[ids[c]] = _settle(total)
-                resolved += 1
-                resolved_nodes += int(sizes[c])
-            grow = nbad > 0
-            over = (sizes + nbad > MAX_NODES).nonzero()[0]
-            if len(over):
-                for c in over:
-                    out[ids[c]] = RefinementOverflowError(
-                        f"contour refinement needs more than {MAX_NODES} nodes")
-                grow[over] = False
-                steps = np.repeat(grow, nbad)
-                t_mid, pos = t_mid[steps], pos[steps]
-            growth = nbad[grow]
+        nbad, sums, ts, pos = _bisect(t, v, speed, sizes)
+        for c, total in sums:
+            out[ids[c]] = _settle(total)
+            resolved += 1
+            resolved_nodes += int(sizes[c])
+        over = sizes + nbad > MAX_NODES
+        if over.any():
+            for c in over.nonzero()[0]:
+                out[ids[c]] = RefinementOverflowError(
+                    f"contour refinement needs more than {MAX_NODES} nodes")
+            steps = np.repeat(~over, nbad)
+            ts, pos = ts[steps], pos[steps]
+            nbad[over] = 0
 
-        live = int(np.sum(sizes[grow] + growth))
+        live = int(np.sum((sizes + nbad)[nbad > 0]))
         projected = resolved_nodes / resolved if resolved else initial_nodes
         admitted = []
         while queued < len(rs) and (live + projected <= WAVE_NODES
@@ -287,14 +277,20 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
             admitted.append(queued)
             queued += 1
             live += projected
-        if not (len(growth) or admitted):
+        if not (len(ts) or admitted):
             break
+        # a new contour's grid goes after every live node, and after the
+        # midpoints of the closing step of the last live contour, which share
+        # its position: np.insert keeps such nodes in input order
+        ids = np.concatenate([ids, np.array(admitted, dtype=np.intp)])
+        sizes = np.concatenate([sizes, np.zeros(len(admitted), dtype=np.intp)])
+        nbad = np.concatenate([nbad, np.full(len(admitted), initial_nodes, dtype=np.intp)])
+        ts = np.concatenate([ts] + [grid] * len(admitted))
+        pos = np.concatenate([pos, np.full(len(admitted) * initial_nodes, len(t))])
 
-        n_mid = len(t_mid)
-        owners = np.concatenate([ids[grow], np.array(admitted, dtype=np.intp)])
-        block_sizes = np.concatenate(
-            [growth, np.full(len(admitted), initial_nodes, dtype=np.intp)])
-        ts = np.concatenate([t_mid] + [grid] * len(admitted))
+        grow = nbad > 0
+        owners = ids[grow]
+        block_sizes = nbad[grow]
         owner = np.repeat(owners, block_sizes)
         values, derivs, errors = _evaluate(
             f, radius[owner] * np.exp(2j * math.pi * ts), block_sizes)
@@ -307,49 +303,44 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
         speed_new *= rate[owner]
         with np.errstate(divide="ignore", invalid="ignore"):
             speed_new /= gap_abs
-        keep = np.ones(len(owners), dtype=bool)
-        if errors or not (np.all(gap_abs >= floors) and np.all(gap_abs > 0.0)
-                          and np.isfinite(values).all()
-                          and np.isfinite(derivs).all()):
-            flagged = ((gap_abs < floors) | (gap_abs == 0.0)
-                       | ~np.isfinite(values) | ~np.isfinite(derivs))
+        flagged = ((gap_abs < floors) | (gap_abs == 0.0)
+                   | ~np.isfinite(values) | ~np.isfinite(derivs))
+        if errors or flagged.any():
             block_ends = block_sizes.cumsum()
             block_starts = block_ends - block_sizes
             suspects = set(errors).union(
                 np.add.reduceat(flagged, block_starts).nonzero()[0])
+            blocks = grow.nonzero()[0]
             for b in sorted(suspects):
                 part = slice(block_starts[b], block_ends[b])
                 out[owners[b]] = errors.get(b) or _node_error(
                     ts[part], values[part], derivs[part], gap[part],
                     floors[part], rs[owners[b]])
-                keep[b] = False
-        del values, derivs, owner, gap_abs, floors
+                grow[blocks[b]] = False
+        del values, derivs, owner, gap_abs, floors, flagged
 
-        # next round: the nodes of the contours still refining with their
-        # midpoints inserted at pos (np.insert keeps midpoints that share a
-        # position in input order), then the nodes of new contours
-        n_grow = len(growth)
-        kept = grow
-        fresh = np.arange(n_mid, len(ts))
-        if not keep.all():
-            kept = grow.copy()
-            kept[grow] = keep[:n_grow]
-            fresh = np.repeat(keep[n_grow:], initial_nodes).nonzero()[0] + n_mid
-        merged = np.insert(np.arange(len(t)), pos, np.arange(len(t), len(t) + n_mid))
-        source = np.concatenate([merged[np.repeat(kept, sizes + np.where(grow, nbad, 0))],
-                                 fresh + len(t)])
+        # next round: the nodes of the contours still refining, new ones at pos
+        merged = np.insert(np.arange(len(t)), pos, np.arange(len(t), len(t) + len(ts)))
+        source = merged[np.repeat(grow, sizes + nbad)]
         del merged
         t = np.concatenate([t, ts])[source]
         v = np.concatenate([v, gap])[source]
         speed = np.concatenate([speed, speed_new])[source]
-        ids = np.concatenate([ids[kept], owners[n_grow:][keep[n_grow:]]])
-        sizes = np.concatenate([(sizes + nbad)[kept],
-                                np.full(int(keep[n_grow:].sum()), initial_nodes,
-                                        dtype=np.intp)])
+        ids = ids[grow]
+        sizes = (sizes + nbad)[grow]
     return out
 
 
-def winding_number(f, w: complex, r: float, initial_nodes: int = None):
+def _check_radii(radii):
+    """Raise ValueError unless the contour radii lie in (0, 1) and increase."""
+    for r in radii:
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"contour radius must lie in (0, 1), got {r!r}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("contour radii must be strictly increasing")
+
+
+def winding_number(f, w: complex, r: float, initial_nodes: int = INITIAL_NODES):
     """Winding count of f - w on |z| = r and its distance to an integer.
 
     Raises ContourProximityError when the image curve passes too close to
@@ -358,12 +349,10 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = None):
     f' is not finite at a node.
     """
     w = require_finite(w, "w")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"contour radius must lie in (0, 1), got {r!r}")
-    nodes = INITIAL_NODES if initial_nodes is None else int(initial_nodes)
-    if nodes < 16:
+    _check_radii((r,))
+    if initial_nodes < 16:
         raise ValueError("initial_nodes must be at least 16")
-    return _unwrap(_wind(f, [w], [r], nodes)[0])
+    return _unwrap(_wind(f, [w], [r], int(initial_nodes))[0])
 
 
 def _wave(f, ws, rs) -> list:
@@ -419,10 +408,7 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
     """
     w = require_finite(w, "w")
     radii = default_schedule() if schedule is None else tuple(schedule)
-    if any(not 0.0 < r < 1.0 for r in radii):
-        raise ValueError("schedule radii must lie in (0, 1)")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    _check_radii(radii)
     deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
     # the stop rule can fire first STOP_RUN - 1 radii after the first radius
     # at or beyond STOP_MIN_RADIUS
@@ -430,7 +416,6 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
                          if r >= STOP_MIN_RADIUS), len(radii))]
     rungs = _ladders(f, [w] * len(first), first, deltas)
     counts, used, residuals = [], [], []
-    stabilized = False
     failed_radius = None
     for j, r in enumerate(radii):
         if j == len(rungs):
@@ -445,25 +430,20 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
         residuals.append(residual)
         if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
                 and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
-            stabilized = True
             break
-    if failed_radius is None and len(counts) >= STOP_RUN:
-        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
+    stabilized = (failed_radius is None and len(counts) >= STOP_RUN
+                  and len(set(counts[-STOP_RUN:])) == 1)
     return ValenceReport(
         w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
-        stabilized=stabilized and failed_radius is None,
-        value=counts[-1] if counts else 0, failed_radius=failed_radius)
+        stabilized=stabilized, value=counts[-1] if counts else 0,
+        failed_radius=failed_radius)
 
 
 def valence_profile(f, w: complex, radii) -> list:
     """Raw per-radius winding counts, no early stopping, no jitter."""
     w = require_finite(w, "w")
     radii = tuple(radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-    for r in radii:
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"contour radius must lie in (0, 1), got {r!r}")
+    _check_radii(radii)
     outcomes = _wave(f, [w] * len(radii), radii)
     return [(r, _unwrap(outcome)[0]) for r, outcome in zip(radii, outcomes)]
 

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from blaschke_lab import verifier
+from blaschke_lab import cli, verifier
 from blaschke_lab.cli import format_complex, main, parse_complex
+from blaschke_lab.errors import InternalConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +111,39 @@ def test_valence_custom_schedule(capsys):
     assert code == 0
     assert "value = 15" in out
     assert "stabilized = false" in out
+
+
+@pytest.mark.parametrize("schedule,message", [
+    ("", "could not convert string to float: ''"),
+    ("0.5,", "could not convert string to float: ''"),
+    ("1.5", "contour radius must lie in (0, 1), got 1.5"),
+    ("0.5,0.4", "contour radii must be strictly increasing"),
+])
+def test_valence_bad_schedule_exits_2(capsys, schedule, message):
+    code, out, err = run_cli(capsys, "valence", "--map", "half", "--w", "0.1",
+                             "--schedule", schedule)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_valence_reports_the_failed_radius_of_a_constant_map(capsys):
+    code, out, _ = run_cli(capsys, "valence",
+                           "--map", '{"type":"blaschke","lambda":[1,0],"zeros":[]}',
+                           "--w", "1")
+    assert code == 0
+    assert out == "w = 1+0i\nfailed-radius = 0.5\nvalue = 0\nstabilized = false\n"
+
+
+def test_an_escaping_library_error_exits_1(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise InternalConsistencyError("winding counts decreased along radii")
+
+    monkeypatch.setattr(cli, "valence_at", failing)
+    code, out, err = run_cli(capsys, "valence", "--map", "half", "--w", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: winding counts decreased along radii\n"
 
 
 def test_heatmap_csv_to_file(tmp_path, capsys):

@@ -192,6 +192,40 @@ def test_midpoint_rounding_onto_its_right_end_sorts_after_it():
     assert merged.tolist() == stable.tolist()
 
 
+def test_new_contours_follow_the_closing_midpoints_of_the_last_live_one(monkeypatch):
+    # a small wave admits contours while others still refine, and w just
+    # below f(r) = r^3 keeps the closing step of a contour flagged, so the
+    # grid of a new contour shares its position, the end of the arrays, with
+    # the closing-step midpoints of the last live contour; the small node
+    # budget makes a wrong order overflow at once instead of refining for
+    # minutes
+    monkeypatch.setattr(valence, "WAVE_NODES", 192)
+    monkeypatch.setattr(valence, "MAX_NODES", 256)
+    rounds = []
+    bisect, evaluate = valence._bisect, valence._evaluate
+
+    def tracking_bisect(t, v, speed, sizes):
+        nbad, sums, t_mid, pos = bisect(t, v, speed, sizes)
+        rounds.append((len(t_mid), bool((pos == len(t)).any())))
+        return nbad, sums, t_mid, pos
+
+    ties = []
+
+    def tracking_evaluate(f, z, sizes):
+        midpoints, at_end = rounds[-1]
+        ties.append(at_end and len(z) > midpoints)   # and contours were admitted
+        return evaluate(f, z, sizes)
+
+    monkeypatch.setattr(valence, "_bisect", tracking_bisect)
+    monkeypatch.setattr(valence, "_evaluate", tracking_evaluate)
+    near = [(r ** 3 * (1.0 - 1e-3), r) for r in (0.5, 0.6, 0.7, 0.8)]
+    easy = [(0.1, 0.5), (0.2, 0.5), (0.1j, 0.5), (0.3, 0.9)]
+    jobs = [job for pair in zip(easy, near) for job in pair]
+    batched = _check_engine(CUBE, jobs)
+    assert any(ties)
+    assert [o[0] for o in batched] == [3, 3, 0, 3, 3, 3, 3, 3]
+
+
 def _reference_cell(f, w, radius, delta):
     """The jitter ladder of one heatmap cell, one contour at a time."""
     for k in (0,) + PERTURB_STEPS:
@@ -331,8 +365,18 @@ def test_valence_at_matches_the_one_contour_scan_on_failures(monkeypatch):
 
 def test_valence_profile_checks_its_radii_before_any_contour(monkeypatch):
     sizes = _record_evaluations(monkeypatch)
+    # valence_at, valence_profile and winding_number share one check: every
+    # radius in (0, 1) first, then strictly increasing radii
+    for scan in (valence_profile, valence_at):
+        with pytest.raises(ValueError, match=r"contour radius must lie in \(0, 1\), got 1.5"):
+            scan(CUBE, 0.1, (0.5, 1.5))
+        with pytest.raises(ValueError, match=r"contour radius must lie in \(0, 1\), got 1.5"):
+            scan(CUBE, 0.1, (0.9, 1.5, 0.5))
+        for radii in ((0.5, 0.5), (0.9, 0.5)):
+            with pytest.raises(ValueError, match="contour radii must be strictly increasing"):
+                scan(CUBE, 0.1, radii)
     with pytest.raises(ValueError, match=r"contour radius must lie in \(0, 1\), got 1.5"):
-        valence_profile(CUBE, 0.1, (0.5, 1.5))
+        winding_number(CUBE, 0.1, 1.5)
     assert sizes == []
 
 

@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+module-level private name is read somewhere in the package.
 
-No linter ships with the project, so the check reads the modules' syntax
-trees with the standard library.  ``__init__`` is left out: it imports
-names only to re-export them.
+No linter ships with the project, so the checks read the modules' syntax
+trees with the standard library.  ``__init__`` is left out of the import
+check: it imports names only to re-export them.
 """
 
 import ast
@@ -43,3 +44,45 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module:name`` for each module-level ``_name`` (dunders aside) that no
+    module of ``sources`` ({module: source}) reads, imports or takes as an
+    attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in bound
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {"a.py": "_used = 1\n_idle, _x = 2, 3\ndef _helper(): return _x\n",
+               "b.py": "from .a import _used\nimport a\nprint(_used, a._helper)\n"}
+    assert unread_private_names(sources) == ["a.py:_idle"]
+
+
+def test_every_module_level_private_name_is_read_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

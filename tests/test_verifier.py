@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from blaschke_lab import verifier
+from blaschke_lab.cli import main
+from blaschke_lab.errors import SolverFailure
 from blaschke_lab.gallery import (
     frostman_shift,
     make_atomic_inner,
@@ -65,6 +68,42 @@ def test_theorem_a_case_records_reproduce():
 def test_theorem_a_validates_sizes():
     with pytest.raises(ValueError):
         check_theorem_A(seed=1, n_products=0, n_targets=5)
+
+
+# solver -> (suite, a small verifier run, the CLI options of the same run)
+FAILING_SOLVER = {
+    "blaschke_preimages": ("theorem-a", lambda: check_theorem_A(1, 1, 2),
+                           ["--cases", "1", "--targets", "2"]),
+    "blaschke_compose": ("theorem-b", lambda: check_theorem_B(1, 2), ["--cases", "2"]),
+    "blaschke_critical_points": ("theorem-c", lambda: check_theorem_C(1, 2, 1),
+                                 ["--cases", "2", "--mobius-cases", "1"]),
+    "mobius_recover": ("theorem-c", lambda: check_theorem_C(1, 1, 2),
+                       ["--cases", "1", "--mobius-cases", "2"]),
+}
+
+
+@pytest.mark.parametrize("solver", FAILING_SOLVER)
+def test_a_solver_failure_becomes_an_error_record(monkeypatch, capsys, solver):
+    suite, check, options = FAILING_SOLVER[solver]
+    original = getattr(verifier, solver)
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SolverFailure(f"{solver} did not converge")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, solver, fail_first)
+    report = check()
+    assert [(c["ok"], c["error"]) for c in report.failures] == \
+        [(False, f"{solver} did not converge")]
+    assert not report.ok
+    calls.clear()
+    assert main(["verify", suite, "--seed", "1", *options]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [case for case in lines[:-1] if "error" in case] == report.failures
+    assert lines[-1]["summary"]["failures"] == 1 and not lines[-1]["summary"]["ok"]
 
 
 def test_theorem_b_golden_small():
