@@ -65,17 +65,14 @@ EXPECTED_VERDICTS = {
 def parse_complex(text: str) -> complex:
     """Accepts "a+bi" (or j) and "a,b" forms."""
     raw = text.strip()
-    if "," in raw:
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"cannot parse complex number from {text!r}")
-        value = complex(float(parts[0]), float(parts[1]))
-    else:
-        normal = raw.replace(" ", "").replace("i", "j").replace("I", "j")
-        try:
-            value = complex(normal)
-        except ValueError as err:
-            raise ValueError(f"cannot parse complex number from {text!r}") from err
+    try:
+        if "," in raw:
+            real, imag = raw.split(",")
+            value = complex(float(real), float(imag))
+        else:
+            value = complex(raw.replace(" ", "").replace("i", "j").replace("I", "j"))
+    except ValueError as err:
+        raise ValueError(f"cannot parse complex number from {text!r}") from err
     return require_finite(value, f"complex number {text!r}")
 
 
@@ -171,11 +168,10 @@ def _render_suite(report: SuiteReport):
 
 
 def _render_verdict(verdict: PipelineVerdict, candidate, expect):
-    spec = candidate.spec or {}
+    spec = candidate.spec
     # only gallery nodes have a name; a Mobius node is known by its type
     expected = expect or EXPECTED_VERDICTS.get(spec.get("name", spec.get("type")))
-    case = {"case": 0, "kind": "pipeline-verdict",
-            "candidate": candidate.spec or candidate.descriptor,
+    case = {"case": 0, "kind": "pipeline-verdict", "candidate": spec,
             "verdict": verdict.verdict,
             "boundary_mean": verdict.boundary_mean,
             "detail": verdict.detail}

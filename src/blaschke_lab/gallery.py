@@ -10,6 +10,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,6 +33,9 @@ def make_scaled_exponential(epsilon: float = 1e-10, c: float = 10.0) -> DiscMapH
     """f(z) = epsilon * e^{c z}; the tiny factor keeps the image in the disc."""
     if epsilon <= 0 or c <= 0:
         raise ValueError("epsilon and c must be positive")
+    if c > math.log(sys.float_info.max):
+        # e^{cz} then overflows near z = 1, however small epsilon is
+        raise ValueError(f"e^c overflows at c = {c:g}: map would leave the disc")
     if epsilon * math.exp(c) >= 1.0:
         raise ValueError(
             f"epsilon * e^c = {epsilon * math.exp(c):.3e} >= 1: map would leave the disc")
@@ -224,11 +229,8 @@ def escape_blaschke(n: int) -> BlaschkeProduct:
 def make_escape_sequence(n: int = 2) -> DiscMapHandle:
     """B_n with zeros {0, 1 - 1/n}: converges to -z only locally uniformly,
     and the second preimage of any fixed target escapes to the boundary."""
-    b = escape_blaschke(n)
-    handle = blaschke_handle(b)
-    handle.descriptor = f"escape(n={int(n)})"
-    handle.spec = {"type": "gallery", "name": "escape", "params": {"n": int(n)}}
-    return handle
+    return replace(blaschke_handle(escape_blaschke(n)), descriptor=f"escape(n={int(n)})",
+                   spec={"type": "gallery", "name": "escape", "params": {"n": int(n)}})
 
 
 def make_limit_of_escape() -> DiscMapHandle:

@@ -10,7 +10,8 @@ evaluation handles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -92,27 +93,26 @@ class BlaschkeProduct:
         return len(self.zeros)
 
 
+@dataclass(frozen=True, eq=False)
 class DiscMapHandle:
     """Uniform evaluation capability: z in the disc -> (f(z), f'(z)).
 
     ``fn`` must accept a complex ndarray and return (values, derivatives)
     ndarrays.  Every evaluation is spot-checked: an interior point with
-    |f(z)| >= 1 raises a diagnostic.
+    |f(z)| >= 1 raises a diagnostic.  Handles compare and hash by identity.
     """
 
-    def __init__(self, fn, descriptor: str, blaschke: BlaschkeProduct | None = None,
-                 spec: dict | None = None):
-        self._fn = fn
-        self.descriptor = descriptor
-        self.blaschke = blaschke
-        self.spec = spec
+    fn: Callable
+    descriptor: str
+    blaschke: BlaschkeProduct | None = None
+    spec: dict | None = None
 
     def __repr__(self):
         return f"DiscMapHandle({self.descriptor})"
 
     def eval_many(self, z: np.ndarray):
         z = np.asarray(z, dtype=complex)
-        values, derivs = self._fn(z)
+        values, derivs = self.fn(z)
         interior = np.abs(z) < 1.0
         bad = interior & (np.abs(values) >= 1.0 + DISC_CHECK_SLACK)
         if bad.any():
@@ -357,11 +357,10 @@ def mobius_recover(f: DiscMapHandle):
 
 
 def mobius_handle(m: MobiusAutomorphism) -> DiscMapHandle:
-    handle = blaschke_handle(BlaschkeProduct(lam=m.lam, zeros=(m.alpha,)))
-    handle.descriptor = f"mobius(alpha={m.alpha:.6g}, lambda={m.lam:.6g})"
-    handle.spec = {"type": "mobius", "alpha": [m.alpha.real, m.alpha.imag],
-                   "lambda": [m.lam.real, m.lam.imag]}
-    return handle
+    return replace(blaschke_handle(BlaschkeProduct(lam=m.lam, zeros=(m.alpha,))),
+                   descriptor=f"mobius(alpha={m.alpha:.6g}, lambda={m.lam:.6g})",
+                   spec={"type": "mobius", "alpha": [m.alpha.real, m.alpha.imag],
+                         "lambda": [m.lam.real, m.lam.imag]})
 
 
 def blaschke_handle(b: BlaschkeProduct) -> DiscMapHandle:
@@ -390,4 +389,4 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
 
 def opaque(handle: DiscMapHandle) -> DiscMapHandle:
     """Re-wrap a handle hiding its structure (for recovery round-trips)."""
-    return DiscMapHandle(handle._fn, "opaque")
+    return DiscMapHandle(handle.fn, "opaque")

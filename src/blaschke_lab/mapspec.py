@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from dataclasses import replace
 
 from .errors import MapSpecError
 from .gallery import (
@@ -104,8 +105,7 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
             handle = mobius_handle(MobiusAutomorphism(alpha=alpha, lam=lam))
         except ValueError as err:
             raise MapSpecError(str(err), path) from err
-        handle.spec = dict(data)
-        return handle
+        return replace(handle, spec=dict(data))
     if kind == "blaschke":
         lam = _complex_from(data.get("lambda"), f"{path}.lambda")
         zeros_node = data.get("zeros")
@@ -117,8 +117,7 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
             handle = blaschke_handle(BlaschkeProduct(lam=lam, zeros=zeros))
         except ValueError as err:
             raise MapSpecError(str(err), path) from err
-        handle.spec = dict(data)
-        return handle
+        return replace(handle, spec=dict(data))
     if kind == "compose":
         outer = parse_map_spec(data.get("outer"), f"{path}.outer")
         inner = parse_map_spec(data.get("inner"), f"{path}.inner")
@@ -127,8 +126,8 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
             handle = blaschke_handle(blaschke_compose(outer.blaschke, inner.blaschke))
         else:
             handle = compose_handles(outer, inner)
-        handle.spec = {"type": "compose", "outer": outer.spec, "inner": inner.spec}
-        return handle
+        return replace(handle, spec={"type": "compose", "outer": outer.spec,
+                                     "inner": inner.spec})
     return _parse_gallery(data, path)
 
 

@@ -80,7 +80,7 @@ class ValenceReport:
                     f"winding counts decreased along radii: {self.counts}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeatmapGrid:
     """resolution x resolution valence counts over the square [-1, 1]^2.
 

@@ -22,10 +22,9 @@ def test_parse_complex_forms():
     assert parse_complex("1e-10") == 1e-10
     assert parse_complex("0.5,0.3") == 0.5 + 0.3j
     assert parse_complex("-1e-10") == -1e-10
-    with pytest.raises(ValueError):
-        parse_complex("zebra")
-    with pytest.raises(ValueError):
-        parse_complex("1,2,3")
+    for text in ("zebra", "1,2,3", "1,abc", ",0"):
+        with pytest.raises(ValueError, match=f"cannot parse complex number from '{text}'$"):
+            parse_complex(text)
 
 
 def test_format_complex_15_digits():
@@ -74,6 +73,26 @@ def test_eval_non_finite_gallery_param_exits_2(capsys):
 def test_eval_exterior_point_exits_2(capsys):
     code, _, _ = run_cli(capsys, "eval", "--map", "half", "--z", "1.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["1,abc", ",0"])
+def test_unparsable_complex_exits_2(capsys, text):
+    code, out, err = run_cli(capsys, "eval", "--map", "half", "--z", text)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot parse complex number from {text!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gallery", "scaled-exp", "--c-param", "1000"),
+    ("eval", "--map", '{"type":"gallery","name":"scaled-exp","params":{"c":1000}}',
+     "--z", "0"),
+], ids=["gallery", "eval"])
+def test_scaled_exp_with_a_large_c_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("map would leave the disc\n")
 
 
 @pytest.mark.parametrize("argv", [

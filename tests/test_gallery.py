@@ -67,8 +67,10 @@ def test_scaled_exponential_modulus_bound():
 
 
 def test_scaled_exponential_rejects_disc_violation():
-    with pytest.raises(ValueError):
-        make_scaled_exponential(epsilon=1.0, c=10.0)
+    # a large c overflows e^c, also with an epsilon small enough to offset it
+    for epsilon, c in [(1.0, 10.0), (1e-10, 1000.0), (1e-320, 720.0)]:
+        with pytest.raises(ValueError, match="map would leave the disc$"):
+            make_scaled_exponential(epsilon=epsilon, c=c)
 
 
 def test_scaled_exp_enumeration_oracle_certifies_winding():
