@@ -76,6 +76,21 @@ def parse_complex(text: str) -> complex:
     return require_finite(value, f"complex number {text!r}")
 
 
+def _comma_list(kind):
+    """argparse type: a comma list of ``kind`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(tok) for tok in text.split(","))
+    parse.__name__ = f"{kind.__name__} list"  # argparse: "invalid float list value: ..."
+    return parse
+
+
+def _seed(text: str) -> int:
+    """argparse type: numpy takes non-negative integer seeds."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _nz(x: float) -> float:
     return x + 0.0  # folds -0.0 into 0.0 for stable output
 
@@ -129,10 +144,7 @@ def cmd_eval(args) -> int:
 def cmd_valence(args) -> int:
     handle = load_map_argument(args.map)
     w = parse_complex(args.w)
-    schedule = None
-    if args.schedule is not None:
-        schedule = tuple(float(tok) for tok in args.schedule.split(","))
-    report = valence_at(handle, w, schedule=schedule)
+    report = valence_at(handle, w, schedule=args.schedule)
     print(f"w = {format_complex(w)}")
     for r, count, residual in zip(report.radii, report.counts, report.residuals):
         print(f"r={r:.12g} count={count} residual={residual:.3e}")
@@ -193,8 +205,7 @@ def _render_hurwitz(rows, limit_value: int):
 
 
 # how an option's text becomes its parameter; argparse reads the others
-READERS = {"candidate": load_map_argument, "w": parse_complex,
-           "n_list": lambda text: tuple(int(tok) for tok in text.split(","))}
+READERS = {"candidate": load_map_argument, "w": parse_complex}
 
 
 def cmd_verify(args) -> int:
@@ -265,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("valence", help="valence report at a target")
     p_val.add_argument("--map", required=True)
     p_val.add_argument("--w", required=True, help='target, "a+bi" or "a,b"')
-    p_val.add_argument("--schedule", help="comma list of radii in (0,1)")
+    p_val.add_argument("--schedule", type=_comma_list(float),
+                       help="comma list of radii in (0,1)")
     p_val.set_defaults(fn=cmd_valence)
 
     p_heat = sub.add_parser("heatmap", help="valence heatmap over the disc")
@@ -280,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite",
                            argument_default=argparse.SUPPRESS)
     p_ver.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    p_ver.add_argument("--seed", type=int)
+    p_ver.add_argument("--seed", type=_seed)
     p_ver.add_argument("--cases", type=int)
     p_ver.add_argument("--targets", type=int)
     p_ver.add_argument("--mobius-cases", type=int)
@@ -291,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--expect", choices=VERDICTS,
                        help="expected verdict for theorem-3-1 (overrides inference)")
     p_ver.add_argument("--w", help="target for hurwitz-demo")
-    p_ver.add_argument("--n-list", help="comma list of escape indices for hurwitz-demo")
+    p_ver.add_argument("--n-list", type=_comma_list(int),
+                       help="comma list of escape indices for hurwitz-demo")
     p_ver.add_argument("--out", help="output path (default: stdout)")
     p_ver.set_defaults(fn=cmd_verify)
 

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .maps import BlaschkeProduct, DiscMapHandle, blaschke_handle
+from .maps import BlaschkeProduct, DiscMapHandle, blaschke_handle, compose_handles
 from .numerics import require_finite
 
 
@@ -130,18 +130,17 @@ def slit_distance(z: complex) -> float:
 
 
 def make_slit_power(k: int = 2) -> DiscMapHandle:
-    """f = g^k for the slit map g, with chain-rule derivative; g omits 0 so f' != 0."""
+    """f = g^k for the slit map g: the power map composed after g; g omits 0 so f' != 0."""
     if int(k) != k or k < 2:
         raise ValueError("power exponent k must be an integer >= 2")
     k = int(k)
-    base = make_slit_map()
 
-    def fn(z):
-        bv, bd = base.eval_many(z)
-        return bv ** k, k * bv ** (k - 1) * bd
+    def power(u):
+        return u ** k, k * u ** (k - 1)
 
-    return DiscMapHandle(fn, f"({base.descriptor})^{k}",
-                         spec={"type": "gallery", "name": "slit-power", "params": {"k": k}})
+    return replace(compose_handles(DiscMapHandle(power, f"u^{k}"), make_slit_map()),
+                   descriptor=f"(slit-g)^{k}",
+                   spec={"type": "gallery", "name": "slit-power", "params": {"k": k}})
 
 
 def power_preimages(w: complex, k: int) -> list:
@@ -201,23 +200,19 @@ def atomic_preimage_count(r: float, w: complex = math.exp(-1)) -> int:
 
 
 def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:
-    """F_a = (a - f)/(1 - conj(a) f), the disc automorphism applied after f = base."""
+    """F_a = (a - f)/(1 - conj(a) f), the disc automorphism composed after f = base."""
     a = require_finite(a, "a")
     if abs(a) >= 1.0:
         raise ValueError("shift parameter must satisfy |a| < 1")
 
-    def fn(z):
-        fv, fd = base.eval_many(z)
-        denom = 1.0 - np.conj(a) * fv
-        value = (a - fv) / denom
-        deriv = -fd * (1.0 - abs(a) ** 2) / (denom * denom)
-        return value, deriv
+    def shift(u):
+        denom = 1.0 - np.conj(a) * u
+        return (a - u) / denom, -(1.0 - abs(a) ** 2) / (denom * denom)
 
-    spec = None
-    if base.spec is not None:
-        spec = {"type": "gallery", "name": "frostman",
-                "params": {"base": base.spec, "a": [a.real, a.imag]}}
-    return DiscMapHandle(fn, f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
+    spec = None if base.spec is None else {
+        "type": "gallery", "name": "frostman", "params": {"base": base.spec, "a": [a.real, a.imag]}}
+    return replace(compose_handles(DiscMapHandle(shift, f"shift(a={a:.4g})"), base),
+                   descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
 
 
 def escape_blaschke(n: int) -> BlaschkeProduct:

@@ -377,11 +377,15 @@ def identity_handle() -> DiscMapHandle:
 
 
 def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle:
-    """Functional composition for handles without Blaschke structure."""
+    """outer after inner: a Blaschke product when both carry one of degree >= 1,
+    else the package's one chain rule, on ``outer.fn`` unchecked: the result's
+    own ``eval_many`` checks the outer values at every interior z."""
+    if all(h.blaschke is not None and h.blaschke.degree >= 1 for h in (outer, inner)):
+        return blaschke_handle(blaschke_compose(outer.blaschke, inner.blaschke))
 
     def fn(z):
         inner_v, inner_d = inner.eval_many(z)
-        outer_v, outer_d = outer.eval_many(inner_v)
+        outer_v, outer_d = outer.fn(inner_v)
         return outer_v, outer_d * inner_d
 
     return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})")

@@ -30,7 +30,6 @@ from .maps import (
     BlaschkeProduct,
     DiscMapHandle,
     MobiusAutomorphism,
-    blaschke_compose,
     blaschke_handle,
     compose_handles,
     mobius_handle,
@@ -121,13 +120,8 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
     if kind == "compose":
         outer = parse_map_spec(data.get("outer"), f"{path}.outer")
         inner = parse_map_spec(data.get("inner"), f"{path}.inner")
-        if (outer.blaschke is not None and inner.blaschke is not None
-                and outer.blaschke.degree >= 1 and inner.blaschke.degree >= 1):
-            handle = blaschke_handle(blaschke_compose(outer.blaschke, inner.blaschke))
-        else:
-            handle = compose_handles(outer, inner)
-        return replace(handle, spec={"type": "compose", "outer": outer.spec,
-                                     "inner": inner.spec})
+        return replace(compose_handles(outer, inner),
+                       spec={"type": "compose", "outer": outer.spec, "inner": inner.spec})
     return _parse_gallery(data, path)
 
 

@@ -150,20 +150,16 @@ def _merge_clusters(points, cluster_radius):
     return merged
 
 
-def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None) -> RootSet:
+def aberth_roots(p: Polynomial) -> RootSet:
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Roots at the origin are deflated exactly before iterating.  Iterates
     closer than the cluster radius are merged into one root with summed
     multiplicity.  Raises SolverFailure (carrying the best iterate and
-    residuals) if the iteration does not settle within ``max_iter`` sweeps.
+    residuals) if the iteration does not settle within ABERTH_MAX_ITER sweeps.
     """
-    tol = ABERTH_TOL if tol is None else tol
-    max_iter = ABERTH_MAX_ITER if max_iter is None else max_iter
     if p.degree < 1:
         raise ValueError("aberth_roots needs degree >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     coeffs = np.asarray(p.coeffs, dtype=complex)
     coeff_scale = float(np.max(np.abs(coeffs)))
@@ -182,7 +178,7 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None) -> Root
         z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE))
                       for m in range(n)])
         frozen = np.zeros(n, dtype=bool)
-        for _ in range(max_iter):
+        for _ in range(ABERTH_MAX_ITER):
             v, d = _poly_eval_vec(deflated, z)
             small = np.abs(d) == 0.0
             if small.any():
@@ -206,17 +202,17 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None) -> Root
             z[active] -= step[active]
             v_new, _ = _poly_eval_vec(deflated, z)
             # Residual freeze fires at the Horner evaluation noise floor, not
-            # at tol*scale: multiple roots must get close enough to merge.
+            # at ABERTH_TOL*scale: multiple roots must get close enough to merge.
             noise, _ = _poly_eval_vec(np.abs(deflated), np.abs(z).astype(complex))
             noise_floor = 4.0 * (n + 1) * EPS * np.abs(noise)
-            frozen |= (np.abs(step) < tol * (1.0 + np.abs(z))) | \
+            frozen |= (np.abs(step) < ABERTH_TOL * (1.0 + np.abs(z))) | \
                       (np.abs(v_new) <= np.maximum(noise_floor, 1e-300))
             if frozen.all():
                 break
         else:
             resid = np.abs(_poly_eval_vec(coeffs, z)[0])
             raise SolverFailure(
-                f"Aberth iteration did not converge in {max_iter} sweeps",
+                f"Aberth iteration did not converge in {ABERTH_MAX_ITER} sweeps",
                 best=tuple(z.tolist()), residuals=tuple(resid.tolist()))
         iterates = list(z)
 
@@ -232,7 +228,7 @@ def aberth_roots(p: Polynomial, tol: float = None, max_iter: int = None) -> Root
             f"root multiplicities sum to {sum(mults)}, expected {p.degree}",
             best=roots, residuals=residuals)
     for r, resid in zip(roots, residuals):
-        bound = tol * coeff_scale * max(1.0, abs(r)) ** p.degree
+        bound = ABERTH_TOL * coeff_scale * max(1.0, abs(r)) ** p.degree
         if resid > max(bound, 64 * EPS * coeff_scale * p.degree * max(1.0, abs(r)) ** p.degree):
             raise SolverFailure(
                 f"residual {resid:.3e} at root {r!r} exceeds certified bound",

@@ -59,8 +59,8 @@ def default_schedule() -> tuple:
 class ValenceReport:
     """Per-radius winding counts of f - w plus a stabilisation verdict.
 
-    ``value`` is a certified lower bound for the valence of f at w in
-    general, and the exact valence when f is a finite Blaschke product.
+    ``value`` is the winding count at the last radius reached: the exact
+    valence for a finite Blaschke product, not a certified bound in general.
     Counts must be non-decreasing along the radii; a decrease means the
     winding engine failed and is raised as a hard error.
     """

@@ -434,8 +434,5 @@ def demo_hurwitz_escape(n_list=(2, 10, 100), w: complex = 0.1):
 
 
 def hurwitz_table_csv(rows, limit_value: int) -> str:
-    lines = ["n,valence"]
-    for n, value in rows:
-        lines.append(f"{n},{value}")
-    lines.append(f"limit,{limit_value}")
+    lines = ["n,valence", *(f"{n},{value}" for n, value in rows), f"limit,{limit_value}"]
     return "\n".join(lines) + "\n"

@@ -133,8 +133,6 @@ def test_valence_custom_schedule(capsys):
 
 
 @pytest.mark.parametrize("schedule,message", [
-    ("", "could not convert string to float: ''"),
-    ("0.5,", "could not convert string to float: ''"),
     ("1.5", "contour radius must lie in (0, 1), got 1.5"),
     ("0.5,0.4", "contour radii must be strictly increasing"),
 ])
@@ -144,6 +142,29 @@ def test_valence_bad_schedule_exits_2(capsys, schedule, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("valence", "--map", "half", "--w", "0.1", "--schedule", ""),
+     "argument --schedule: invalid float list value: ''"),
+    (("valence", "--map", "half", "--w", "0.1", "--schedule", "0.5,"),
+     "argument --schedule: invalid float list value: '0.5,'"),
+    (("valence", "--map", "half", "--w", "0.1", "--schedule", "0.5,abc"),
+     "argument --schedule: invalid float list value: '0.5,abc'"),
+    (("verify", "hurwitz-demo", "--n-list", "2,x"),
+     "argument --n-list: invalid int list value: '2,x'"),
+    (("verify", "hurwitz-demo", "--n-list", "2.5"),
+     "argument --n-list: invalid int list value: '2.5'"),
+    (("verify", "theorem-a", "--seed", "-1", "--cases", "1", "--targets", "1"),
+     "argument --seed: expected a non-negative integer, got '-1'"),
+], ids=["schedule-empty", "schedule-trailing-comma", "schedule-abc", "n-list-x",
+        "n-list-2.5", "seed-negative"])
+def test_an_unparsable_option_exits_2_and_is_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage: blaschke-lab {argv[0]} ")
+    assert err.endswith(f"blaschke-lab {argv[0]}: error: {message}\n")
 
 
 def test_valence_reports_the_failed_radius_of_a_constant_map(capsys):

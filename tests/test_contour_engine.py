@@ -24,8 +24,9 @@ from blaschke_lab.errors import (
     PoleError,
     RefinementOverflowError,
 )
-from blaschke_lab.gallery import make_atomic_inner
+from blaschke_lab.gallery import frostman_shift, make_atomic_inner, make_slit_power
 from blaschke_lab.maps import BlaschkeProduct, DiscMapHandle, blaschke_handle
+from blaschke_lab.mapspec import parse_map_spec
 from blaschke_lab.valence import (
     ERROR_MARK,
     OUTSIDE_MARK,
@@ -403,12 +404,29 @@ def test_theorem_a_evaluates_the_same_nodes_in_fewer_calls(monkeypatch):
     assert len(sizes) <= 300
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_slit_power(2),
+    lambda: frostman_shift(make_atomic_inner(), 0.5),
+    lambda: parse_map_spec('{"type":"compose","outer":{"type":"gallery","name":"half"},'
+                           '"inner":{"type":"gallery","name":"atomic-inner"}}'),
+], ids=["slit-power", "frostman", "compose-spec"])
+def test_a_composition_checks_the_disc_once_on_its_result(monkeypatch, make):
+    handle = make()
+    sizes = _record_evaluations(monkeypatch)
+    handle.eval_many(np.linspace(-0.9, 0.9, 7) + 0.1j)
+    # the inner map's own check, then the result's; the outer map's is gone
+    assert sizes == [7, 7]
+
+
 # run: (eval_many nodes, eval_many calls) it took before valence_at and the
 # heatmap shared ``valence._ladders``, which evaluates the same contours
 WORK = {
     "theorem-3-2": (lambda: check_theorem_3_2(2, 0, 500, 10), 52146, 234),
     "heatmap": (lambda: valence_heatmap(make_atomic_inner(), 24, 0.999), 138900, 1006),
     "hurwitz": (demo_hurwitz_escape, 3748, 16),
+    # measured before Frostman shifts were built by compose_handles
+    "frostman-heatmap": (lambda: valence_heatmap(frostman_shift(make_atomic_inner(), 0.5),
+                                                 24, 0.999), 232308, 1682),
 }
 
 

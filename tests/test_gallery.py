@@ -245,6 +245,33 @@ def test_frostman_vanishes_on_preimage():
     assert abs(v) < 1e-15
 
 
+@pytest.mark.parametrize("base", [make_atomic_inner(), make_slit_power(3)],
+                         ids=["atomic-inner", "slit-power"])
+def test_frostman_matches_its_closed_form(base):
+    # the chain rule in compose_handles multiplies in another order than
+    # this reference, so derivatives may move by a few ulp; values may not
+    rng = np.random.default_rng(41)
+    z = disc_samples(rng, 2000, radius=0.999)
+    fv, fd = base.eval_many(z)
+    for a in (0.5, -0.3 + 0.4j, 0.99j):
+        denom = 1.0 - np.conj(a) * fv
+        value = (a - fv) / denom
+        deriv = -fd * (1.0 - abs(a) ** 2) / (denom * denom)
+        got_v, got_d = frostman_shift(base, a).eval_many(z)
+        assert np.array_equal(got_v, value)
+        assert np.all(np.abs(got_d - deriv) <= 4 * np.spacing(np.abs(deriv)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_slit_power_matches_the_power_of_the_slit_map_bit_for_bit(k):
+    rng = np.random.default_rng(42)
+    z = disc_samples(rng, 2000, radius=0.999)
+    gv, gd = make_slit_map().eval_many(z)
+    got_v, got_d = make_slit_power(k).eval_many(z)
+    assert np.array_equal(got_v, gv ** k)
+    assert np.array_equal(got_d, k * gv ** (k - 1) * gd)
+
+
 def test_frostman_validation():
     with pytest.raises(ValueError):
         frostman_shift(make_atomic_inner(), 1.0)

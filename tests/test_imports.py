@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-module-level private name is read somewhere in the package.
+"""Every module of the package uses each name it imports, every
+module-level private name is read somewhere in the package, and the one
+chain rule of the package is the only map evaluation inside a handle.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -44,6 +45,39 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def nested_eval_many_calls(source: str) -> list:
+    """The module-level function (or method) around each ``.eval_many`` call
+    made inside a function nested in it, such as the ``fn`` of a handle."""
+    tree = ast.parse(source)
+    tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+             for node in cls.body if isinstance(node, ast.FunctionDef)]
+    found = []
+    for top in tops:
+        nested = [node for node in ast.walk(top)
+                  if node is not top and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        calls = {call for fn in nested for call in ast.walk(fn)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                 and call.func.attr == "eval_many"}
+        found += [top.name] * len(calls)
+    return sorted(found)
+
+
+def test_the_check_sees_an_evaluation_inside_a_handle():
+    source = ("def outside(f, z):\n    return f.eval_many(z)\n"
+              "def make(base):\n    def fn(z):\n        def deeper(u):\n"
+              "            return base.eval_many(u)\n        return deeper(z)\n"
+              "    return fn, lambda z: base.eval_many(z)\n"
+              "class H:\n    def method(self):\n        return lambda z: self.eval_many(z)\n")
+    assert nested_eval_many_calls(source) == ["make", "make", "method"]
+
+
+def test_the_only_evaluation_inside_a_handle_is_the_chain_rule():
+    calls = [f"{module}:{name}" for module in MODULES
+             for name in nested_eval_many_calls((PACKAGE / module).read_text())]
+    assert calls == ["maps.py:compose_handles"]
 
 
 def unread_private_names(sources: dict) -> list:

@@ -17,6 +17,7 @@ from blaschke_lab.maps import (
     blaschke_eval,
     blaschke_handle,
     blaschke_preimages,
+    compose_handles,
     critical_numerator,
     identity_handle,
     mobius_eval,
@@ -212,6 +213,47 @@ def test_compose_matches_pointwise_oracle():
         through, _ = blaschke_eval(c, z)
         worst = max(worst, abs(direct - through))
     assert worst < 1e-9
+
+
+def _half():
+    return DiscMapHandle(lambda z: (0.5 * z, np.full_like(z, 0.5)), "half")
+
+
+def test_compose_handles_of_two_blaschke_handles_is_a_blaschke_handle():
+    rng = np.random.default_rng(12)
+    outer = random_blaschke(rng, degree=2)
+    inner = random_blaschke(rng, degree=3)
+    composed = compose_handles(blaschke_handle(outer), blaschke_handle(inner))
+    assert composed.blaschke.degree == 6
+    z = np.array([0.1 + 0.2j, -0.5j, 0.7])
+    direct, _ = blaschke_handle(outer).eval_many(blaschke_handle(inner).eval_many(z)[0])
+    assert np.max(np.abs(composed.eval_many(z)[0] - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("outer,inner", [
+    (_half(), blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0.3j,)))),
+    (blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0.3j,))), _half()),
+    (blaschke_handle(BlaschkeProduct(lam=1j, zeros=())),
+     blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0.3j,)))),
+], ids=["outer-half", "inner-half", "outer-degree-0"])
+def test_compose_handles_without_two_blaschke_sides_is_functional(outer, inner):
+    composed = compose_handles(outer, inner)
+    assert composed.blaschke is None
+    z = np.array([0.1 + 0.2j, -0.5j, 0.7])
+    inner_v, inner_d = inner.eval_many(z)
+    outer_v, outer_d = outer.eval_many(inner_v)
+    value, deriv = composed.eval_many(z)
+    assert np.array_equal(value, outer_v)
+    assert np.array_equal(deriv, outer_d * inner_d)
+
+
+def test_a_composition_that_leaves_the_disc_fails_its_own_check():
+    quadruple = DiscMapHandle(lambda z: (4.0 * z, np.full_like(z, 4.0)), "quadruple")
+    composed = compose_handles(quadruple, _half())
+    assert composed.eval(0.2) == (0.4 + 0j, 2.0 + 0j)
+    message = r"^\(quadruple o half\): .* >= 1 at an interior point$"
+    with pytest.raises(DiscPreservationError, match=message):
+        composed.eval(0.9)
 
 
 def test_compose_associativity():
