@@ -118,7 +118,8 @@ class DiscMapHandle:
         if bad.any():
             i = int(np.argmax(bad))
             raise DiscPreservationError(
-                f"{self.descriptor}: |f({z.flat[i]!r})| = {abs(values.flat[i])!r} >= 1 "
+                f"{self.descriptor}: |f({complex(z.flat[i])!r})| = "
+                f"{float(abs(values.flat[i]))!r} >= 1 "
                 "at an interior point")
         return values, derivs
 
@@ -198,7 +199,7 @@ def _classify_roots(rootset: RootSet, context: str) -> RootSet:
             ambiguous.append(root)
     if ambiguous:
         raise BoundaryAmbiguityError(
-            f"{context}: roots {ambiguous!r} sit on the |z| = 1 annulus; "
+            f"{context}: roots {[complex(r) for r in ambiguous]!r} sit on the |z| = 1 annulus; "
             "interior/exterior classification is unreliable", roots=rootset.roots)
     return RootSet(tuple(inside_r), tuple(inside_m), tuple(inside_res))
 
@@ -214,7 +215,12 @@ def blaschke_preimages(b: BlaschkeProduct, w: complex) -> RootSet:
         raise ValueError(f"target must satisfy |w| < 1, got {abs(w)!r}")
     if b.degree < 1:
         raise ValueError("preimages need degree >= 1")
-    num, den = _blaschke_polynomial_pair(b)
+    return _preimages(b, _blaschke_polynomial_pair(b), w)
+
+
+def _preimages(b: BlaschkeProduct, pair, w: complex) -> RootSet:
+    """Solve and check B(z) = w for a validated w, given B's (num, den) pair."""
+    num, den = pair
     target = poly_sub(num, poly_mul(Polynomial((w,)), den))
     if target.degree != b.degree:
         raise InternalConsistencyError(
@@ -224,7 +230,7 @@ def blaschke_preimages(b: BlaschkeProduct, w: complex) -> RootSet:
     for root, value in zip(rootset.roots, values.tolist()):
         if abs(root) > 1.0 + ROOT_ANNULUS:
             raise InternalConsistencyError(
-                f"preimage root {root!r} outside the closed disc: solver bug",
+                f"preimage root {complex(root)!r} outside the closed disc: solver bug",
                 payload=rootset)
         if abs(value - w) > PREIMAGE_RESIDUAL_TOL:
             raise InternalConsistencyError(
@@ -270,9 +276,10 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> Blaschke
     """
     if outer.degree < 1 or inner.degree < 1:
         raise ValueError("composition needs both degrees >= 1")
+    pair = _blaschke_polynomial_pair(inner)
     zeros = []
     for a in outer.zeros:
-        pre = blaschke_preimages(inner, a)
+        pre = _preimages(inner, pair, a)
         for root, mult in zip(pre.roots, pre.multiplicities):
             zeros.extend([root] * mult)
     candidate = BlaschkeProduct(lam=1.0 + 0j, zeros=tuple(zeros))

@@ -135,8 +135,8 @@ def _merge_clusters(points, cluster_radius):
         return i
 
     for i in range(len(pts)):
+        scale = cluster_radius * (1.0 + abs(pts[i]))
         for j in range(i + 1, len(pts)):
-            scale = cluster_radius * (1.0 + abs(pts[i]))
             if abs(pts[i] - pts[j]) <= scale:
                 parent[find(j)] = find(i)
     groups = {}
@@ -155,8 +155,10 @@ def aberth_roots(p: Polynomial) -> RootSet:
 
     Roots at the origin are deflated exactly before iterating.  Iterates
     closer than the cluster radius are merged into one root with summed
-    multiplicity.  Raises SolverFailure (carrying the best iterate and
-    residuals) if the iteration does not settle within ABERTH_MAX_ITER sweeps.
+    multiplicity.  A sweep makes one Horner pass for value and derivative,
+    which the next sweep steps from, and one value-only pass for the noise
+    floor.  Raises SolverFailure (carrying the best iterate and residuals)
+    if the iteration does not settle within ABERTH_MAX_ITER sweeps.
     """
     if p.degree < 1:
         raise ValueError("aberth_roots needs degree >= 1")
@@ -178,8 +180,9 @@ def aberth_roots(p: Polynomial) -> RootSet:
         z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE))
                       for m in range(n)])
         frozen = np.zeros(n, dtype=bool)
+        abs_coeffs = np.abs(deflated[::-1])
+        v, d = _poly_eval_vec(deflated, z)
         for _ in range(ABERTH_MAX_ITER):
-            v, d = _poly_eval_vec(deflated, z)
             small = np.abs(d) == 0.0
             if small.any():
                 z[small] += (1 + 1j) * 1e-8 * (1.0 + np.abs(z[small]))
@@ -200,13 +203,13 @@ def aberth_roots(p: Polynomial) -> RootSet:
             step = newton / denom
             active = ~frozen
             z[active] -= step[active]
-            v_new, _ = _poly_eval_vec(deflated, z)
+            v, d = _poly_eval_vec(deflated, z)
             # Residual freeze fires at the Horner evaluation noise floor, not
             # at ABERTH_TOL*scale: multiple roots must get close enough to merge.
-            noise, _ = _poly_eval_vec(np.abs(deflated), np.abs(z).astype(complex))
+            noise = np.polyval(abs_coeffs, np.abs(z).astype(complex))
             noise_floor = 4.0 * (n + 1) * EPS * np.abs(noise)
             frozen |= (np.abs(step) < ABERTH_TOL * (1.0 + np.abs(z))) | \
-                      (np.abs(v_new) <= np.maximum(noise_floor, 1e-300))
+                      (np.abs(v) <= np.maximum(noise_floor, 1e-300))
             if frozen.all():
                 break
         else:
@@ -231,7 +234,7 @@ def aberth_roots(p: Polynomial) -> RootSet:
         bound = ABERTH_TOL * coeff_scale * max(1.0, abs(r)) ** p.degree
         if resid > max(bound, 64 * EPS * coeff_scale * p.degree * max(1.0, abs(r)) ** p.degree):
             raise SolverFailure(
-                f"residual {resid:.3e} at root {r!r} exceeds certified bound",
+                f"residual {resid:.3e} at root {complex(r)!r} exceeds certified bound",
                 best=roots, residuals=residuals)
     return RootSet(roots, mults, residuals)
 

@@ -401,7 +401,8 @@ def test_disc_preservation_diagnostic():
         return 2.0 * z, np.full_like(z, 2.0)
 
     handle = DiscMapHandle(liar, "liar")
-    with pytest.raises(DiscPreservationError):
+    message = r"^liar: \|f\(\(0\.9\+0j\)\)\| = 1\.8 >= 1 at an interior point$"
+    with pytest.raises(DiscPreservationError, match=message):
         handle.eval(0.9)
 
 
