@@ -37,21 +37,22 @@ from .verifier import (
 USAGE_ERROR = 2
 IO_ERROR = 3
 
-# suite -> (verifier function, {option: parameter}); the function's signature
-# holds the defaults, and a parameter without one is a required option.  The
-# function is looked up by name at call time, as mapspec._spec_from looks up
-# parse_map_spec, so that a wrapper installed on it also sees CLI runs.
+# suite -> (verifier function, {option: parameter}); `verify <suite>` takes
+# these options and --out.  The function's signature holds the defaults, and
+# a parameter without one is a required option.  The function is looked up
+# by name at call time, as mapspec._spec_from looks up parse_map_spec, so
+# that a wrapper installed on it also sees CLI runs.
 # --expect (parameter None) is read by the verdict renderer.
 SUITES = {
     "theorem-a": ("check_theorem_A",
                   {"seed": "seed", "cases": "n_products", "targets": "n_targets"}),
     "theorem-b": ("check_theorem_B", {"seed": "seed", "cases": "n_pairs"}),
     "theorem-c": ("check_theorem_C",
-                  {"seed": "seed", "cases": "n_products", "mobius_cases": "n_mobius"}),
+                  {"seed": "seed", "cases": "n_products", "mobius-cases": "n_mobius"}),
     "theorem-3-1": ("check_theorem_3_1",
                     {"candidate": "candidate", "bound": "valence_bound", "expect": None}),
     "theorem-3-2": ("check_theorem_3_2", {"k": "k", "seed": "seed"}),
-    "hurwitz-demo": ("demo_hurwitz_escape", {"n_list": "n_list", "w": "w"}),
+    "hurwitz-demo": ("demo_hurwitz_escape", {"n-list": "n_list", "w": "w"}),
 }
 
 # canonical candidates of the certification pipeline and their verdicts
@@ -133,8 +134,7 @@ def cmd_eval(args) -> int:
     handle = load_map_argument(args.map)
     z = parse_complex(args.z)
     if abs(z) >= 1.0:
-        print(f"error: |z| must be < 1, got {format_complex(z)}", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"|z| must be < 1, got {format_complex(z)}")
     value, deriv = handle.eval(z)
     print(f"{_nz(value.real):.15g} {_nz(value.imag):.15g} | "
           f"{_nz(deriv.real):.15g} {_nz(deriv.imag):.15g}")
@@ -204,42 +204,35 @@ def _render_hurwitz(rows, limit_value: int):
             f"escape-family valences all 2: {all_two}; limit valence: {limit_value}")
 
 
-# how an option's text becomes its parameter; argparse reads the others
-READERS = {"candidate": load_map_argument, "w": parse_complex}
+# argparse keywords of each verify option; SUITES says which suites take it
+OPTIONS = {
+    "seed": {"type": _seed, "help": "random seed, a non-negative integer"},
+    "cases": {"type": int, "help": "number of cases"},
+    "targets": {"type": int, "help": "targets per product"},
+    "mobius-cases": {"type": int, "help": "number of Mobius cases"},
+    "k": {"type": int, "help": "slit-power exponent"},
+    "candidate": {"type": load_map_argument,
+                  "help": "map spec: inline JSON, file path, or gallery name"},
+    "bound": {"type": int, "help": "claimed valence bound"},
+    "expect": {"choices": VERDICTS, "help": "expected verdict (overrides inference)"},
+    "w": {"type": parse_complex, "help": 'target, "a+bi" or "a,b"'},
+    "n-list": {"type": _comma_list(int), "help": "comma list of escape indices"},
+}
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; valid suites: {', '.join(SUITES)}",
-              file=sys.stderr)
-        return USAGE_ERROR
     name, params = SUITES[args.suite]
-    function = getattr(verifier, name)
-    # the verify options default to absent, so these are the ones given
-    given = {key: value for key, value in vars(args).items()
-             if key not in ("command", "fn", "suite", "out")}
-    for option in given:
-        if option not in params:
-            print(f"error: {args.suite} does not take --{option.replace('_', '-')}",
-                  file=sys.stderr)
-            return USAGE_ERROR
-    required = [key for key, slot in inspect.signature(function).parameters.items()
-                if slot.default is slot.empty]
-    for option, param in params.items():
-        if param in required and option not in given:
-            print(f"error: {args.suite} requires --{option.replace('_', '-')}", file=sys.stderr)
-            return USAGE_ERROR
-
-    kwargs = {params[option]: READERS.get(option, lambda value: value)(value)
-              for option, value in given.items() if params[option] is not None}
-    result = function(**kwargs)
+    # the suite's options default to absent, so these are the ones given
+    given = vars(args)
+    kwargs = {key: value for key, value in given.items() if key in params.values()}
+    result = getattr(verifier, name)(**kwargs)
     if isinstance(result, SuiteReport):
         payload, ok, note = _render_suite(result)
     elif isinstance(result, PipelineVerdict):
         payload, ok, note = _render_verdict(result, kwargs["candidate"], given.get("expect"))
     else:
         payload, ok, note = _render_hurwitz(*result)
-    status = _write_out(getattr(args, "out", None), payload)
+    status = _write_out(given.get("out"), payload)
     if status != 0:
         return status
     if note is not None:
@@ -288,25 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--out", help="output path (default: stdout)")
     p_heat.set_defaults(fn=cmd_heatmap)
 
-    # each option is absent unless given; the suite's signature holds its default
-    p_ver = sub.add_parser("verify", help="run a verification suite",
-                           argument_default=argparse.SUPPRESS)
-    p_ver.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
-    p_ver.add_argument("--seed", type=_seed)
-    p_ver.add_argument("--cases", type=int)
-    p_ver.add_argument("--targets", type=int)
-    p_ver.add_argument("--mobius-cases", type=int)
-    p_ver.add_argument("--k", type=int)
-    p_ver.add_argument("--candidate", help="map spec for theorem-3-1")
-    p_ver.add_argument("--bound", type=int,
-                       help="claimed valence bound for theorem-3-1")
-    p_ver.add_argument("--expect", choices=VERDICTS,
-                       help="expected verdict for theorem-3-1 (overrides inference)")
-    p_ver.add_argument("--w", help="target for hurwitz-demo")
-    p_ver.add_argument("--n-list", type=_comma_list(int),
-                       help="comma list of escape indices for hurwitz-demo")
-    p_ver.add_argument("--out", help="output path (default: stdout)")
+    p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.set_defaults(fn=cmd_verify)
+    suites = p_ver.add_subparsers(dest="suite", required=True)
+    for suite, (name, params) in SUITES.items():
+        slots = inspect.signature(getattr(verifier, name)).parameters
+        required = {key for key, slot in slots.items() if slot.default is slot.empty}
+        # each option is absent unless given; the signature holds its default
+        p_suite = suites.add_parser(suite, argument_default=argparse.SUPPRESS)
+        for option, param in params.items():
+            p_suite.add_argument(f"--{option}", dest=param or option, required=param in required,
+                                 **OPTIONS[option])
+        p_suite.add_argument("--out", help="output path (default: stdout)")
 
     p_gal = sub.add_parser("gallery", help="emit a canonical gallery map spec")
     p_gal.add_argument("name", help=f"one of: {', '.join(GALLERY)}")
@@ -321,13 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # inside the try: --candidate is read while the arguments are parsed
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        return args.fn(args)
     except (MapSpecError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

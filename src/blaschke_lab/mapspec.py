@@ -97,32 +97,30 @@ def parse_map_spec(data, path: str = "$") -> DiscMapHandle:
     if not isinstance(kind, str) or kind not in NODE_KEYS:
         raise MapSpecError(f"unknown map type {kind!r}", path)
     _reject_unknown_keys(data, ("type",) + NODE_KEYS[kind], path)
-    if kind == "mobius":
-        alpha = _complex_from(data.get("alpha"), f"{path}.alpha")
-        lam = _complex_from(data.get("lambda"), f"{path}.lambda")
-        try:
+    # a constructor's ValueError is an invariant the node breaks
+    try:
+        if kind == "mobius":
+            alpha = _complex_from(data.get("alpha"), f"{path}.alpha")
+            lam = _complex_from(data.get("lambda"), f"{path}.lambda")
             handle = mobius_handle(MobiusAutomorphism(alpha=alpha, lam=lam))
-        except ValueError as err:
-            raise MapSpecError(str(err), path) from err
-        return replace(handle, spec=dict(data))
-    if kind == "blaschke":
-        lam = _complex_from(data.get("lambda"), f"{path}.lambda")
-        zeros_node = data.get("zeros")
-        if not isinstance(zeros_node, list):
-            raise MapSpecError("expected a list of [re, im] pairs", f"{path}.zeros")
-        zeros = tuple(_complex_from(zn, f"{path}.zeros[{i}]")
-                      for i, zn in enumerate(zeros_node))
-        try:
+        elif kind == "blaschke":
+            lam = _complex_from(data.get("lambda"), f"{path}.lambda")
+            zeros_node = data.get("zeros")
+            if not isinstance(zeros_node, list):
+                raise MapSpecError("expected a list of [re, im] pairs", f"{path}.zeros")
+            zeros = tuple(_complex_from(zn, f"{path}.zeros[{i}]")
+                          for i, zn in enumerate(zeros_node))
             handle = blaschke_handle(BlaschkeProduct(lam=lam, zeros=zeros))
-        except ValueError as err:
-            raise MapSpecError(str(err), path) from err
-        return replace(handle, spec=dict(data))
-    if kind == "compose":
-        outer = parse_map_spec(data.get("outer"), f"{path}.outer")
-        inner = parse_map_spec(data.get("inner"), f"{path}.inner")
-        return replace(compose_handles(outer, inner),
-                       spec={"type": "compose", "outer": outer.spec, "inner": inner.spec})
-    return _parse_gallery(data, path)
+        elif kind == "compose":
+            outer = parse_map_spec(data.get("outer"), f"{path}.outer")
+            inner = parse_map_spec(data.get("inner"), f"{path}.inner")
+            return replace(compose_handles(outer, inner),
+                           spec={"type": "compose", "outer": outer.spec, "inner": inner.spec})
+        else:
+            return _parse_gallery(data, path)
+    except ValueError as err:
+        raise MapSpecError(str(err), path) from err
+    return replace(handle, spec=dict(data))
 
 
 def _parse_gallery(data, path):
@@ -141,10 +139,7 @@ def _parse_gallery(data, path):
             raise MapSpecError(f"{name} needs a {key!r} parameter", f"{path}.params.{key}")
     kwargs = {key: read(params[key], f"{path}.params.{key}")
               for key, read in readers.items() if key in params}
-    try:
-        return factory(**kwargs)
-    except ValueError as err:
-        raise MapSpecError(str(err), path) from err
+    return factory(**kwargs)
 
 
 def gallery_spec(name: str, params: dict | None = None) -> dict:

@@ -401,6 +401,7 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
     five jitters).  The scan stops early once ``STOP_RUN`` consecutive
     counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
     the centre proves nothing because preimages may still hide outside.
+    ``stabilized`` is true exactly when this stop rule fired.
 
     The ladders of every radius up to the first one at which the stop rule
     can fire climb together; each later radius gets its ladder when the
@@ -416,7 +417,7 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
                          if r >= STOP_MIN_RADIUS), len(radii))]
     rungs = _ladders(f, [w] * len(first), first, deltas)
     counts, used, residuals = [], [], []
-    failed_radius = None
+    failed_radius, stabilized = None, False
     for j, r in enumerate(radii):
         if j == len(rungs):
             rungs += _ladders(f, [w], [r], [deltas[j]])
@@ -430,9 +431,8 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
         residuals.append(residual)
         if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
                 and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
+            stabilized = True
             break
-    stabilized = (failed_radius is None and len(counts) >= STOP_RUN
-                  and len(set(counts[-STOP_RUN:])) == 1)
     return ValenceReport(
         w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
         stabilized=stabilized, value=counts[-1] if counts else 0,

@@ -1,5 +1,9 @@
+import argparse
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -71,8 +75,10 @@ def test_eval_non_finite_gallery_param_exits_2(capsys):
 
 
 def test_eval_exterior_point_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "eval", "--map", "half", "--z", "1.5")
+    code, out, err = run_cli(capsys, "eval", "--map", "half", "--z", "1.5")
     assert code == 2
+    assert out == ""
+    assert err == "error: |z| must be < 1, got 1.5+0i\n"
 
 
 @pytest.mark.parametrize("text", ["1,abc", ",0"])
@@ -163,8 +169,23 @@ def test_an_unparsable_option_exits_2_and_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith(f"usage: blaschke-lab {argv[0]} ")
-    assert err.endswith(f"blaschke-lab {argv[0]}: error: {message}\n")
+    # a verify suite is its own subcommand: "blaschke-lab verify <suite>"
+    prog = " ".join(("blaschke-lab",) + argv[:2 if argv[0] == "verify" else 1])
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith(f"{prog}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,tail", [
+    # the preimage 0.6 lies outside r = 0.3
+    (("--map", "half", "--w", "0.3"), "value = 0\nstabilized = false\n"),
+    # a map of unbounded valence
+    (("--map", "atomic-inner", "--w", "0.36787944117144233"), "value = 1\nstabilized = false\n"),
+], ids=["half", "atomic-inner"])
+def test_agreeing_counts_inside_the_stop_radius_are_not_stabilized(capsys, argv, tail):
+    code, out, _ = run_cli(capsys, "valence", *argv, "--schedule", "0.1,0.2,0.3")
+    assert code == 0
+    assert out.count("count=") == 3
+    assert out.endswith(tail)
 
 
 def test_valence_reports_the_failed_radius_of_a_constant_map(capsys):
@@ -287,10 +308,72 @@ def test_verify_calls_the_suite_function_bound_on_the_verifier_module(monkeypatc
     assert out == "n,valence\n7,2\nlimit,1\n"
 
 
-def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "who-knows")
+def _subcommands(parser):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _signature(suite):
+    return inspect.signature(getattr(verifier, cli.SUITES[suite][0])).parameters
+
+
+def _required_options(suite):
+    """The options of a suite whose parameter has no default."""
+    slots = _signature(suite)
+    return {option for option, param in cli.SUITES[suite][1].items()
+            if param is not None and slots[param].default is slots[param].empty}
+
+
+def test_each_verify_subcommand_takes_exactly_its_suite_options():
+    suites = _subcommands(_subcommands(cli.build_parser())["verify"])
+    assert list(suites) == list(cli.SUITES)
+    for suite, (_, params) in cli.SUITES.items():
+        actions = {a.option_strings[-1]: a for a in suites[suite]._actions
+                   if a.option_strings != ["-h", "--help"]}
+        assert set(actions) == {f"--{option}" for option in params} | {"--out"}
+        assert {option for option in params if actions[f"--{option}"].required} \
+            == _required_options(suite)
+
+
+def test_every_suite_parameter_is_in_its_function_signature():
+    for suite, (_, params) in cli.SUITES.items():
+        slots = _signature(suite)
+        named = {param for param in params.values() if param is not None}
+        assert named <= set(slots), suite
+        # a parameter without a default has an option
+        assert {key for key, slot in slots.items() if slot.default is slot.empty} <= named
+
+
+def test_verify_suite_help_lists_only_its_options(capsys):
+    code, out, _ = run_cli(capsys, "verify", "theorem-b", "--help")
+    assert code == 0
+    assert set(re.findall(r"--[a-z-]+", out)) == {"--help", "--seed", "--cases", "--out"}
+
+
+def test_a_candidate_that_does_not_parse_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorem-3-1", "--candidate", '{"type":"nope"}')
     assert code == 2
-    assert "valid suites" in err
+    assert out == ""
+    assert err == "error: $: unknown map type 'nope'\n"
+
+
+def test_the_readme_suite_table_matches_the_suites():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Verify suites and their options", 1)[1].split("\n###", 1)[0]
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", table, flags=re.M)
+    assert [suite for suite, _ in rows] == list(cli.SUITES)
+    for suite, cell in rows:
+        options = dict(re.findall(r"`--([a-z-]+)` \(([^)]*)\)", cell))
+        assert set(options) == set(cli.SUITES[suite][1]), suite
+        assert {o for o, note in options.items() if "required" in note} \
+            == _required_options(suite), suite
+
+
+def test_verify_unknown_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "who-knows")
+    assert code == 2
+    assert out == ""
+    assert "argument suite: invalid choice: 'who-knows'" in err
 
 
 def test_verify_theorem_b_small(capsys):

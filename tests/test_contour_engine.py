@@ -311,11 +311,9 @@ def _reference_valence(f, w, schedule=None):
                 and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
             stabilized = True
             break
-    if failed_radius is None and len(counts) >= STOP_RUN:
-        stabilized = stabilized or len(set(counts[-STOP_RUN:])) == 1
     return ValenceReport(
         w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
-        stabilized=stabilized and failed_radius is None,
+        stabilized=stabilized,
         value=counts[-1] if counts else 0, failed_radius=failed_radius)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from blaschke_lab import verifier
 from blaschke_lab.cli import main
-from blaschke_lab.errors import SolverFailure
+from blaschke_lab.errors import ContourProximityError, SolverFailure
 from blaschke_lab.gallery import (
     frostman_shift,
     make_atomic_inner,
@@ -217,6 +217,26 @@ def test_theorem_3_2_small():
 def test_theorem_3_2_k3():
     report = check_theorem_3_2(k=3, seed=0, n_membership=200, n_valence=5)
     assert report.ok
+
+
+def test_theorem_3_2_records_an_engine_error_as_a_failing_case():
+    # g^32 underflows to 0 at a node on |z| = 1 - 2^-15 of the omits-zero scan
+    report = check_theorem_3_2(k=32, seed=0, n_membership=50, n_valence=3)
+    assert [c["ok"] for c in report.cases] == [True, True, False, True, True, True]
+    assert report.cases[2]["kind"] == "omits-zero"
+    assert "below the proximity floor" in report.cases[2]["error"]
+    assert "counts" not in report.cases[2]
+
+
+def test_theorem_3_2_records_a_valence_scan_error_as_a_failing_case(monkeypatch):
+    def failing(f, w, schedule=None):
+        raise ContourProximityError("contour node too close")
+
+    monkeypatch.setattr(verifier, "valence_at", failing)
+    report = check_theorem_3_2(k=2, seed=0, n_membership=50, n_valence=3)
+    assert report.cases[5] == {"case": 5, "kind": "valence-bound", "samples": 3,
+                               "ok": False, "error": "contour node too close"}
+    assert len(report.failures) == 1
 
 
 def test_theorem_3_2_validates_k():
