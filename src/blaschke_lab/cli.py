@@ -64,17 +64,21 @@ EXPECTED_VERDICTS = {
 
 
 def parse_complex(text: str) -> complex:
-    """Accepts "a+bi" (or j) and "a,b" forms."""
+    """argparse type: "a+bi" (or j) and "a,b" forms."""
     raw = text.strip()
     try:
         if "," in raw:
             real, imag = raw.split(",")
             value = complex(float(real), float(imag))
-        else:
-            value = complex(raw.replace(" ", "").replace("i", "j").replace("I", "j"))
+        else:  # only a trailing i is the imaginary unit, so "inf" keeps its i
+            raw = raw.replace(" ", "")
+            value = complex(raw[:-1] + "j" if raw.endswith(("i", "I")) else raw)
     except ValueError as err:
-        raise ValueError(f"cannot parse complex number from {text!r}") from err
-    return require_finite(value, f"complex number {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse complex number from {text!r}") from err
+    try:
+        return require_finite(value, f"complex number {text!r}")
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from err
 
 
 def _comma_list(kind):
@@ -101,20 +105,22 @@ def format_complex(z: complex) -> str:
 
 
 def load_map_argument(text: str):
-    """--map takes inline JSON, a file path, or a bare gallery name."""
+    """argparse type: inline JSON, a file path, or a bare gallery name; a spec
+    that mapspec rejects raises MapSpecError, which main reports."""
     raw = text.strip()
     if raw.startswith("{"):
         return parse_map_spec(raw)
     if raw in GALLERY:
         return parse_map_spec({"type": "gallery", "name": raw})
-    if os.path.exists(raw):
-        try:
-            with open(raw, "r", encoding="utf-8") as fh:
-                return parse_map_spec(fh.read())
-        except OSError as err:
-            raise MapSpecError(f"cannot read map file: {err}") from err
-    raise MapSpecError(f"--map argument {text!r} is neither inline JSON, "
-                       "an existing file, nor a gallery name")
+    if not os.path.exists(raw):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither inline JSON, an existing file, nor a gallery name")
+    try:
+        with open(raw, "r", encoding="utf-8") as fh:
+            spec = fh.read()
+    except OSError as err:
+        raise argparse.ArgumentTypeError(f"cannot read map file: {err}") from err
+    return parse_map_spec(spec)
 
 
 def _write_out(path, payload: str) -> int:
@@ -131,21 +137,17 @@ def _write_out(path, payload: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    handle = load_map_argument(args.map)
-    z = parse_complex(args.z)
-    if abs(z) >= 1.0:
-        raise ValueError(f"|z| must be < 1, got {format_complex(z)}")
-    value, deriv = handle.eval(z)
+    if abs(args.z) >= 1.0:
+        raise ValueError(f"|z| must be < 1, got {format_complex(args.z)}")
+    value, deriv = args.map.eval(args.z)
     print(f"{_nz(value.real):.15g} {_nz(value.imag):.15g} | "
           f"{_nz(deriv.real):.15g} {_nz(deriv.imag):.15g}")
     return 0
 
 
 def cmd_valence(args) -> int:
-    handle = load_map_argument(args.map)
-    w = parse_complex(args.w)
-    report = valence_at(handle, w, schedule=args.schedule)
-    print(f"w = {format_complex(w)}")
+    report = valence_at(args.map, args.w, schedule=args.schedule)
+    print(f"w = {format_complex(args.w)}")
     for r, count, residual in zip(report.radii, report.counts, report.residuals):
         print(f"r={r:.12g} count={count} residual={residual:.3e}")
     if report.failed_radius is not None:
@@ -156,8 +158,7 @@ def cmd_valence(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    handle = load_map_argument(args.map)
-    grid = valence_heatmap(handle, args.resolution, args.radius)
+    grid = valence_heatmap(args.map, args.resolution, args.radius)
     payload = heatmap_to_csv(grid) if args.format == "csv" else heatmap_to_pgm(grid)
     status = _write_out(args.out, payload)
     if status != 0:
@@ -204,8 +205,10 @@ def _render_hurwitz(rows, limit_value: int):
             f"escape-family valences all 2: {all_two}; limit valence: {limit_value}")
 
 
-# argparse keywords of each verify option; SUITES says which suites take it
+# argparse keywords of each shared option and each verify option (see SUITES)
 OPTIONS = {
+    "map": {"type": load_map_argument, "help": "inline JSON, file path, or gallery name"},
+    "out": {"help": "output path (default: stdout)"},
     "seed": {"type": _seed, "help": "random seed, a non-negative integer"},
     "cases": {"type": int, "help": "number of cases"},
     "targets": {"type": int, "help": "targets per product"},
@@ -241,12 +244,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gallery(args) -> int:
-    options = {"k": args.k, "n": args.n, "epsilon": args.epsilon, "c": args.c_param}
-    if args.a is not None:
-        a = parse_complex(args.a)
-        options["a"] = [a.real, a.imag]
-    if args.base is not None:
-        options["base"] = load_map_argument(args.base).spec
+    options = {"k": args.k, "n": args.n, "epsilon": args.epsilon, "c": args.c_param,
+               "a": None if args.a is None else [args.a.real, args.a.imag],
+               "base": None if args.base is None else args.base.spec}
     params = {key: value for key, value in options.items() if value is not None}
     print(json.dumps(gallery_spec(args.name, params), sort_keys=True))
     return 0
@@ -261,24 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a map and its derivative")
-    p_eval.add_argument("--map", required=True,
-                        help="inline JSON, file path, or gallery name")
-    p_eval.add_argument("--z", required=True, help='point, "a+bi" or "a,b"')
+    p_eval.add_argument("--map", required=True, **OPTIONS["map"])
+    p_eval.add_argument("--z", required=True, type=parse_complex, help='point, "a+bi" or "a,b"')
     p_eval.set_defaults(fn=cmd_eval)
 
     p_val = sub.add_parser("valence", help="valence report at a target")
-    p_val.add_argument("--map", required=True)
-    p_val.add_argument("--w", required=True, help='target, "a+bi" or "a,b"')
+    p_val.add_argument("--map", required=True, **OPTIONS["map"])
+    p_val.add_argument("--w", required=True, **OPTIONS["w"])
     p_val.add_argument("--schedule", type=_comma_list(float),
                        help="comma list of radii in (0,1)")
     p_val.set_defaults(fn=cmd_valence)
 
     p_heat = sub.add_parser("heatmap", help="valence heatmap over the disc")
-    p_heat.add_argument("--map", required=True)
+    p_heat.add_argument("--map", required=True, **OPTIONS["map"])
     p_heat.add_argument("--resolution", type=int, default=64)
     p_heat.add_argument("--radius", type=float, default=0.999)
     p_heat.add_argument("--format", choices=("csv", "pgm"), default="csv")
-    p_heat.add_argument("--out", help="output path (default: stdout)")
+    p_heat.add_argument("--out", **OPTIONS["out"])
     p_heat.set_defaults(fn=cmd_heatmap)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
@@ -292,23 +291,23 @@ def build_parser() -> argparse.ArgumentParser:
         for option, param in params.items():
             p_suite.add_argument(f"--{option}", dest=param or option, required=param in required,
                                  **OPTIONS[option])
-        p_suite.add_argument("--out", help="output path (default: stdout)")
+        p_suite.add_argument("--out", **OPTIONS["out"])
 
     p_gal = sub.add_parser("gallery", help="emit a canonical gallery map spec")
     p_gal.add_argument("name", help=f"one of: {', '.join(GALLERY)}")
-    p_gal.add_argument("--k", type=int, help="slit-power exponent")
+    p_gal.add_argument("--k", **OPTIONS["k"])
     p_gal.add_argument("--n", type=int, help="escape index")
     p_gal.add_argument("--epsilon", type=float, help="scaled-exp factor")
     p_gal.add_argument("--c-param", type=float, help="scaled-exp rate c")
-    p_gal.add_argument("--a", help="frostman shift parameter")
-    p_gal.add_argument("--base", help="frostman base map spec")
+    p_gal.add_argument("--a", type=parse_complex, help="frostman shift parameter")
+    p_gal.add_argument("--base", type=load_map_argument, help="frostman base map spec")
     p_gal.set_defaults(fn=cmd_gallery)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        # inside the try: --candidate is read while the arguments are parsed
+        # inside the try: map specs are read while the arguments are parsed
         args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:

@@ -25,6 +25,7 @@ from .errors import (
 from .numerics import (
     Polynomial,
     RootSet,
+    _convolve,
     aberth_roots,
     poly_from_roots,
     poly_mul,
@@ -178,11 +179,10 @@ def blaschke_eval(b: BlaschkeProduct, z: complex):
 
 def _blaschke_polynomial_pair(b: BlaschkeProduct):
     """Numerator lam * prod(z - a_j) and denominator prod(1 - conj(a_j) z)."""
-    num = poly_from_roots(b.zeros, b.lam)
-    den = Polynomial((1.0 + 0j,))
+    den = (1.0 + 0j,)
     for a in b.zeros:
-        den = poly_mul(den, Polynomial((1.0 + 0j, -a.conjugate())))
-    return num, den
+        den = _convolve(den, (1.0 + 0j, -a.conjugate()))
+    return poly_from_roots(b.zeros, b.lam), Polynomial(den)
 
 
 def _classify_roots(rootset: RootSet, context: str) -> RootSet:

@@ -83,18 +83,22 @@ def poly_from_roots(roots, leading: complex) -> Polynomial:
     lead = require_finite(leading, "leading")
     if lead == 0:
         raise ValueError("leading coefficient must be nonzero")
-    p = Polynomial((lead,))
+    coeffs = (lead,)
     for r in roots:
-        p = poly_mul(p, Polynomial((-require_finite(r, "root"), 1.0)))
-    return p
+        coeffs = _convolve(coeffs, (-require_finite(r, "root"), 1.0 + 0j))
+    return Polynomial(coeffs)
+
+
+def _convolve(p: tuple, q: tuple) -> tuple:
+    out = [0j] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    out = [0j] * (p.degree + q.degree + 1)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
-            out[i + j] += a * b
-    return Polynomial(tuple(out))
+    return Polynomial(_convolve(p.coeffs, q.coeffs))
 
 
 def poly_sub(p: Polynomial, q: Polynomial) -> Polynomial:

@@ -26,8 +26,16 @@ def test_parse_complex_forms():
     assert parse_complex("1e-10") == 1e-10
     assert parse_complex("0.5,0.3") == 0.5 + 0.3j
     assert parse_complex("-1e-10") == -1e-10
+    assert parse_complex("0.7I") == parse_complex("0.7j") == 0.7j
+    assert parse_complex("i") == 1j
+    # argparse reports an ArgumentTypeError's own message under the option name
     for text in ("zebra", "1,2,3", "1,abc", ",0"):
-        with pytest.raises(ValueError, match=f"cannot parse complex number from '{text}'$"):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"cannot parse complex number from '{text}'$"):
+            parse_complex(text)
+    for text in ("inf", "nan,0", "-infi"):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"complex number '{text}' must have finite components"):
             parse_complex(text)
 
 
@@ -86,7 +94,7 @@ def test_unparsable_complex_exits_2(capsys, text):
     code, out, err = run_cli(capsys, "eval", "--map", "half", "--z", text)
     assert code == 2
     assert out == ""
-    assert err == f"error: cannot parse complex number from {text!r}\n"
+    assert err.endswith(f"error: argument --z: cannot parse complex number from {text!r}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -163,8 +171,32 @@ def test_valence_bad_schedule_exits_2(capsys, schedule, message):
      "argument --n-list: invalid int list value: '2.5'"),
     (("verify", "theorem-a", "--seed", "-1", "--cases", "1", "--targets", "1"),
      "argument --seed: expected a non-negative integer, got '-1'"),
+    # the map and complex-number readers
+    (("eval", "--map", "nope", "--z", "0"),
+     "argument --map: 'nope' is neither inline JSON, an existing file, nor a gallery name"),
+    (("eval", "--map", "half", "--z", "inf"),
+     "argument --z: complex number 'inf' must have finite components, got (inf+0j)"),
+    (("valence", "--map", "nope", "--w", "0"),
+     "argument --map: 'nope' is neither inline JSON, an existing file, nor a gallery name"),
+    (("valence", "--map", "half", "--w=inf,1"),
+     "argument --w: complex number 'inf,1' must have finite components, got (inf+1j)"),
+    (("heatmap", "--map", "nope"),
+     "argument --map: 'nope' is neither inline JSON, an existing file, nor a gallery name"),
+    (("verify", "theorem-3-1", "--candidate", "nope"),
+     "argument --candidate: 'nope' is neither inline JSON, an existing file, "
+     "nor a gallery name"),
+    (("verify", "hurwitz-demo", "--w=inf,1"),
+     "argument --w: complex number 'inf,1' must have finite components, got (inf+1j)"),
+    (("verify", "hurwitz-demo", "--w", "abc"),
+     "argument --w: cannot parse complex number from 'abc'"),
+    (("gallery", "frostman", "--base", "half", "--a", "1,x"),
+     "argument --a: cannot parse complex number from '1,x'"),
+    (("gallery", "frostman", "--base", "nope"),
+     "argument --base: 'nope' is neither inline JSON, an existing file, nor a gallery name"),
 ], ids=["schedule-empty", "schedule-trailing-comma", "schedule-abc", "n-list-x",
-        "n-list-2.5", "seed-negative"])
+        "n-list-2.5", "seed-negative", "eval-map", "eval-z-inf", "valence-map",
+        "valence-w-inf", "heatmap-map", "3-1-candidate", "hurwitz-w-inf", "hurwitz-w-abc",
+        "frostman-a", "frostman-base"])
 def test_an_unparsable_option_exits_2_and_is_named(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -173,6 +205,39 @@ def test_an_unparsable_option_exits_2_and_is_named(capsys, argv, message):
     prog = " ".join(("blaschke-lab",) + argv[:2 if argv[0] == "verify" else 1])
     assert err.startswith(f"usage: {prog} ")
     assert err.endswith(f"{prog}: error: {message}\n")
+
+
+def test_an_unreadable_map_file_exits_2_and_is_named(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "heatmap", "--map", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "blaschke-lab heatmap: error: argument --map: cannot read map file: " in err
+
+
+def _option_actions(parser, path=()):
+    """(subcommand path, action) for each option of each (nested) subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _option_actions(child, path + (name,))
+        elif action.option_strings:
+            yield path, action
+
+
+def test_a_shared_option_takes_its_keywords_from_one_declaration():
+    takers = {}
+    for path, action in _option_actions(cli.build_parser()):
+        option = action.option_strings[-1].removeprefix("--")
+        if option in cli.OPTIONS:
+            keywords = cli.OPTIONS[option]
+            assert (action.type, action.help) == (keywords.get("type"), keywords["help"]), path
+            takers.setdefault(option, []).append(path)
+    assert cli.OPTIONS["map"]["type"] is cli.load_map_argument
+    assert cli.OPTIONS["w"]["type"] is cli.parse_complex
+    assert takers["map"] == [("eval",), ("valence",), ("heatmap",)]
+    assert takers["w"] == [("valence",), ("verify", "hurwitz-demo")]
+    assert takers["k"] == [("verify", "theorem-3-2"), ("gallery",)]
+    assert takers["out"] == [("heatmap",)] + [("verify", suite) for suite in cli.SUITES]
 
 
 @pytest.mark.parametrize("argv,tail", [
