@@ -20,6 +20,7 @@ from .numerics import require_finite
 from .valence import (
     ERROR_MARK,
     OUTSIDE_MARK,
+    _check_radii,
     heatmap_to_csv,
     heatmap_to_pgm,
     valence_at,
@@ -81,10 +82,25 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _comma_list(kind):
-    """argparse type: a comma list of ``kind`` values, as a tuple."""
+def _disc_point(text: str) -> complex:
+    """argparse type: a complex number inside the unit disc."""
+    z = parse_complex(text)
+    if abs(z) >= 1.0:
+        raise argparse.ArgumentTypeError(f"|z| must be < 1, got {format_complex(z)}")
+    return z
+
+
+def _comma_list(kind, check=None):
+    """argparse type: a comma list of ``kind`` values, as a tuple, that
+    ``check`` (if given) accepts; ``check`` raises ValueError with its reason."""
     def parse(text: str) -> tuple:
-        return tuple(kind(tok) for tok in text.split(","))
+        values = tuple(kind(tok) for tok in text.split(","))
+        if check is not None:
+            try:
+                check(values)
+            except ValueError as err:
+                raise argparse.ArgumentTypeError(str(err)) from err
+        return values
     parse.__name__ = f"{kind.__name__} list"  # argparse: "invalid float list value: ..."
     return parse
 
@@ -137,8 +153,6 @@ def _write_out(path, payload: str) -> int:
 
 
 def cmd_eval(args) -> int:
-    if abs(args.z) >= 1.0:
-        raise ValueError(f"|z| must be < 1, got {format_complex(args.z)}")
     value, deriv = args.map.eval(args.z)
     print(f"{_nz(value.real):.15g} {_nz(value.imag):.15g} | "
           f"{_nz(deriv.real):.15g} {_nz(deriv.imag):.15g}")
@@ -262,13 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a map and its derivative")
     p_eval.add_argument("--map", required=True, **OPTIONS["map"])
-    p_eval.add_argument("--z", required=True, type=parse_complex, help='point, "a+bi" or "a,b"')
+    p_eval.add_argument("--z", required=True, type=_disc_point,
+                        help='point inside the unit disc, "a+bi" or "a,b"')
     p_eval.set_defaults(fn=cmd_eval)
 
     p_val = sub.add_parser("valence", help="valence report at a target")
     p_val.add_argument("--map", required=True, **OPTIONS["map"])
     p_val.add_argument("--w", required=True, **OPTIONS["w"])
-    p_val.add_argument("--schedule", type=_comma_list(float),
+    p_val.add_argument("--schedule", type=_comma_list(float, _check_radii),
                        help="comma list of radii in (0,1)")
     p_val.set_defaults(fn=cmd_valence)
 

@@ -35,12 +35,17 @@ CELL_ERRORS = (ContourProximityError, RefinementOverflowError,
 INITIAL_NODES = 64
 JUMP_THRESHOLD = math.pi / 2.0
 PROXIMITY_REL = 1e-9     # floor relative to |f(z)| + |w| per node
+PROXIMITY_ABS = np.finfo(float).tiny   # and its absolute part: a subnormal
+#                          |f - w| is a near miss, not a value to divide by
 DIP_RATIO = 1e-3         # refine steps with a sharp modulus dip
 CHORD_RATIO = 0.8        # refine steps whose value moves further than its own
 #                          distance from the origin: guards against aliased
 #                          full phase turns
 MAX_NODES = 2 ** 20
-WAVE_NODES = 1024        # admit contours into a wave while live nodes fit
+WAVE_NODES = 6144        # admit contours into a wave while live nodes fit
+ADMIT_MAX = 16           # contours one round admits; until a contour of the
+#                          call resolves, each is projected at WAVE_NODES /
+#                          ADMIT_MAX nodes
 RESIDUAL_MAX = 1e-6
 
 # Valence scan.
@@ -166,7 +171,7 @@ def _node_error(ts, values, derivs, gap, floors, r):
             f"f or f' is not finite at the contour node t={ts[i]:.6f} "
             f"on |z| = {r!r}")
     mags = np.abs(gap)
-    i = int(np.argmax((mags < floors) | (mags == 0.0)))
+    i = int(np.argmax(mags < floors))
     return ContourProximityError(
         f"contour node at t={ts[i]:.6f} has |f-w| = {abs(gap[i]):.3e}, "
         "below the proximity floor", radius=r,
@@ -234,9 +239,13 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
     contour, and one ``f.eval_many`` call evaluates the new nodes of all of
     them.  A contour admitted in a round joins the live ones with no nodes
     and ``initial_nodes`` flagged steps, whose new nodes are its grid.
-    Contours are admitted while the live nodes plus each newcomer's
-    projected size (the mean final size of the contours already resolved)
-    stay within WAVE_NODES.  Every r must lie in (0, 1); callers check it.
+    Contours are admitted by the size they will reach: the mean final size
+    of the contours of the call already resolved or, until one has, an
+    ADMIT_MAX-th of WAVE_NODES, and never less than the grid.  A live
+    contour counts at that projection until it outgrows it.  A round
+    admits up to ADMIT_MAX contours while the live count plus each
+    newcomer's projection stays within WAVE_NODES, which bounds the new
+    nodes of one evaluation.  Every r must lie in (0, 1); callers check it.
     """
     out = [None] * len(rs)
     radius = np.array(rs, dtype=float)
@@ -269,11 +278,12 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
             ts, pos = ts[steps], pos[steps]
             nbad[over] = 0
 
-        live = int(np.sum((sizes + nbad)[nbad > 0]))
-        projected = resolved_nodes / resolved if resolved else initial_nodes
+        projected = (resolved_nodes / resolved if resolved
+                     else max(initial_nodes, WAVE_NODES / ADMIT_MAX))
+        live = float(np.sum(np.maximum(sizes + nbad, projected)[nbad > 0]))
         admitted = []
-        while queued < len(rs) and (live + projected <= WAVE_NODES
-                                    or not (live or admitted)):
+        while queued < len(rs) and len(admitted) < ADMIT_MAX and (
+                live + projected <= WAVE_NODES or not (live or admitted)):
             admitted.append(queued)
             queued += 1
             live += projected
@@ -299,12 +309,13 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
         floors = np.abs(values)
         floors += target_abs[owner]
         floors *= PROXIMITY_REL
+        floors += PROXIMITY_ABS
         speed_new = np.abs(derivs)
         speed_new *= rate[owner]
         with np.errstate(divide="ignore", invalid="ignore"):
             speed_new /= gap_abs
-        flagged = ((gap_abs < floors) | (gap_abs == 0.0)
-                   | ~np.isfinite(values) | ~np.isfinite(derivs))
+        flagged = ((gap_abs < floors) | ~np.isfinite(values)
+                   | ~np.isfinite(derivs))
         if errors or flagged.any():
             block_ends = block_sizes.cumsum()
             block_starts = block_ends - block_sizes

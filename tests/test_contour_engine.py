@@ -266,6 +266,16 @@ def test_heatmap_matches_the_cell_by_cell_ladder_with_an_exhausted_cell():
                           _reference_heatmap(square, 16, 0.97))
 
 
+@pytest.mark.parametrize("make", [make_atomic_inner, lambda: make_slit_power(2)],
+                         ids=["atomic-inner", "slit-power"])
+def test_heavy_refinement_heatmaps_match_the_cell_by_cell_ladder(make):
+    # near the boundary singularities contours outgrow their grid many
+    # times over, so a wave admits contours by their projected size
+    f = make()
+    assert np.array_equal(valence_heatmap(f, 16, 0.999).cells,
+                          _reference_heatmap(f, 16, 0.999))
+
+
 def test_heatmap_fails_at_its_first_cell_before_the_others(monkeypatch):
     # the whole contour leaves the disc, as in the sequential scan, which
     # raised at the first cell
@@ -426,6 +436,15 @@ WORK = {
     "frostman-heatmap": (lambda: valence_heatmap(frostman_shift(make_atomic_inner(), 0.5),
                                                  24, 0.999), 232308, 1682),
 }
+
+
+def test_heatmap_waves_admit_contours_by_their_projected_size(monkeypatch):
+    sizes = _record_evaluations(monkeypatch)
+    valence_heatmap(make_atomic_inner(), 24, 0.999)
+    # with each newcomer counted at its 64-node grid until a contour had
+    # resolved, and a 1,024-node wave, the same nodes took 1,006 calls
+    assert sum(sizes) == 138900
+    assert len(sizes) <= 307
 
 
 @pytest.mark.parametrize("name", WORK)

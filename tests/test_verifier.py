@@ -228,6 +228,16 @@ def test_theorem_3_2_records_an_engine_error_as_a_failing_case():
     assert "counts" not in report.cases[2]
 
 
+def test_a_subnormal_distance_is_a_proximity_failure_not_an_overflow():
+    # g^24 is subnormal, not 0, at a node of the omits-zero scan: the
+    # proximity floor's absolute part catches it before the phase step
+    # divides by it (pytest turns the overflow warning into an error)
+    report = check_theorem_3_2(k=24, seed=0, n_membership=50, n_valence=3)
+    assert [c["ok"] for c in report.cases] == [True, True, False, True, True, True]
+    assert report.cases[2]["error"] == ("contour node at t=0.750000 has |f-w| = "
+                                        "1.295e-318, below the proximity floor")
+
+
 def test_theorem_3_2_records_a_valence_scan_error_as_a_failing_case(monkeypatch):
     def failing(f, w, schedule=None):
         raise ContourProximityError("contour node too close")
