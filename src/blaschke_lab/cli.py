@@ -8,6 +8,7 @@ identical invocations emit identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -15,12 +16,14 @@ import sys
 
 from . import verifier
 from .errors import BlaschkeLabError, MapSpecError
+from .gallery import _check_escape_indices, _check_power_exponent
 from .mapspec import GALLERY, gallery_spec, parse_map_spec
 from .numerics import require_finite
 from .valence import (
     ERROR_MARK,
     OUTSIDE_MARK,
     _check_radii,
+    _check_resolution,
     heatmap_to_csv,
     heatmap_to_pgm,
     valence_at,
@@ -30,6 +33,9 @@ from .verifier import (
     VERDICTS,
     PipelineVerdict,
     SuiteReport,
+    _check_demo_target,
+    _check_sizes,
+    _check_valence_bound,
     hurwitz_table_csv,
     jsonl,
     report_jsonl,
@@ -90,19 +96,29 @@ def _disc_point(text: str) -> complex:
     return z
 
 
-def _comma_list(kind, check=None):
-    """argparse type: a comma list of ``kind`` values, as a tuple, that
-    ``check`` (if given) accepts; ``check`` raises ValueError with its reason."""
+def _comma_list(kind):
+    """argparse type: a comma list of ``kind`` values, as a tuple."""
     def parse(text: str) -> tuple:
-        values = tuple(kind(tok) for tok in text.split(","))
-        if check is not None:
-            try:
-                check(values)
-            except ValueError as err:
-                raise argparse.ArgumentTypeError(str(err)) from err
-        return values
+        return tuple(kind(tok) for tok in text.split(","))
     parse.__name__ = f"{kind.__name__} list"  # argparse: "invalid float list value: ..."
     return parse
+
+
+class _Checked(argparse.Action):
+    """Stores an option's value once ``check``, the range check that the
+    library runs on it, accepts it; the ValueError of a value it rejects
+    becomes argparse's usage error, which names the option."""
+
+    def __init__(self, *args, check, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.check = check
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            self.check(values)
+        except ValueError as err:
+            raise argparse.ArgumentError(self, str(err)) from err
+        setattr(namespace, self.dest, values)
 
 
 def _seed(text: str) -> int:
@@ -266,7 +282,9 @@ def cmd_gallery(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="blaschke-lab",
         description="Numerical laboratory for holomorphic self-maps of the "
@@ -283,14 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("valence", help="valence report at a target")
     p_val.add_argument("--map", required=True, **OPTIONS["map"])
     p_val.add_argument("--w", required=True, **OPTIONS["w"])
-    p_val.add_argument("--schedule", type=_comma_list(float, _check_radii),
-                       help="comma list of radii in (0,1)")
+    p_val.add_argument("--schedule", type=_comma_list(float), action=_Checked,
+                       check=_check_radii, help="comma list of radii in (0,1)")
     p_val.set_defaults(fn=cmd_valence)
 
     p_heat = sub.add_parser("heatmap", help="valence heatmap over the disc")
     p_heat.add_argument("--map", required=True, **OPTIONS["map"])
-    p_heat.add_argument("--resolution", type=int, default=64)
-    p_heat.add_argument("--radius", type=float, default=0.999)
+    p_heat.add_argument("--resolution", type=int, default=64, action=_Checked,
+                        check=_check_resolution)
+    p_heat.add_argument("--radius", type=float, default=0.999, action=_Checked,
+                        check=lambda r: _check_radii((r,)))
     p_heat.add_argument("--format", choices=("csv", "pgm"), default="csv")
     p_heat.add_argument("--out", **OPTIONS["out"])
     p_heat.set_defaults(fn=cmd_heatmap)
@@ -298,14 +318,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.set_defaults(fn=cmd_verify)
     suites = p_ver.add_subparsers(dest="suite", required=True)
+    # the range check that the suites run on each of their parameters that has one
+    checks = {"n_products": _check_sizes, "n_targets": _check_sizes, "n_pairs": _check_sizes,
+              "n_mobius": _check_sizes, "valence_bound": _check_valence_bound,
+              "k": _check_power_exponent, "n_list": _check_escape_indices,
+              "w": _check_demo_target}
     for suite, (name, params) in SUITES.items():
         slots = inspect.signature(getattr(verifier, name)).parameters
         required = {key for key, slot in slots.items() if slot.default is slot.empty}
         # each option is absent unless given; the signature holds its default
         p_suite = suites.add_parser(suite, argument_default=argparse.SUPPRESS)
         for option, param in params.items():
+            check = {"action": _Checked, "check": checks[param]} if param in checks else {}
             p_suite.add_argument(f"--{option}", dest=param or option, required=param in required,
-                                 **OPTIONS[option])
+                                 **OPTIONS[option], **check)
         p_suite.add_argument("--out", **OPTIONS["out"])
 
     p_gal = sub.add_parser("gallery", help="emit a canonical gallery map spec")

@@ -129,10 +129,14 @@ def slit_distance(z: complex) -> float:
     return abs(z - 1.0)
 
 
-def make_slit_power(k: int = 2) -> DiscMapHandle:
-    """f = g^k for the slit map g: the power map composed after g; g omits 0 so f' != 0."""
+def _check_power_exponent(k):
     if int(k) != k or k < 2:
         raise ValueError("power exponent k must be an integer >= 2")
+
+
+def make_slit_power(k: int = 2) -> DiscMapHandle:
+    """f = g^k for the slit map g: the power map composed after g; g omits 0 so f' != 0."""
+    _check_power_exponent(k)
     k = int(k)
 
     def power(u):
@@ -215,9 +219,13 @@ def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:
                    descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
 
 
-def escape_blaschke(n: int) -> BlaschkeProduct:
-    if int(n) != n or n < 2:
+def _check_escape_indices(ns):
+    if any(int(n) != n or n < 2 for n in ns):
         raise ValueError("escape index n must be an integer >= 2")
+
+
+def escape_blaschke(n: int) -> BlaschkeProduct:
+    _check_escape_indices((n,))
     return BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 1.0 - 1.0 / int(n)))
 
 

@@ -2,7 +2,7 @@
 
 The winding of theta -> f(r e^{i theta}) - w is computed by phase tracking:
 unwrapped argument increments are accumulated over contour nodes, adaptively
-bisecting any step whose phase jump is too large or that dips toward a zero.
+bisecting any step flagged by the chord test or the speed test.
 The count of a holomorphic map equals the number of solutions of f(z) = w
 inside |z| < r, with multiplicity.
 """
@@ -33,14 +33,14 @@ CELL_ERRORS = (ContourProximityError, RefinementOverflowError,
 
 # Winding engine.
 INITIAL_NODES = 64
-JUMP_THRESHOLD = math.pi / 2.0
+JUMP_THRESHOLD = math.pi / 2.0   # phase drift the speed test allows a step
 PROXIMITY_REL = 1e-9     # floor relative to |f(z)| + |w| per node
 PROXIMITY_ABS = np.finfo(float).tiny   # and its absolute part: a subnormal
 #                          |f - w| is a near miss, not a value to divide by
-DIP_RATIO = 1e-3         # refine steps with a sharp modulus dip
 CHORD_RATIO = 0.8        # refine steps whose value moves further than its own
 #                          distance from the origin: guards against aliased
-#                          full phase turns
+#                          full phase turns; a phase jump over pi/2 or a
+#                          1e-3-fold dip moves it over sqrt 2 times as far
 MAX_NODES = 2 ** 20
 WAVE_NODES = 6144        # admit contours into a wave while live nodes fit
 ADMIT_MAX = 16           # contours one round admits; until a contour of the
@@ -181,10 +181,10 @@ def _node_error(ts, values, derivs, gap, floors, r):
 def _bisect(t, v, speed, sizes):
     """One refinement pass over the contours laid end to end in t, v, speed.
 
-    Returns the number of flagged steps of each contour, (contour, phase
-    sum) for each contour with none, and the midpoint of every flagged step
-    with the index it is inserted before.  The closing step of a contour
-    ends at its first node, t = 0, read as 1.
+    Returns the number of steps of each contour that the chord or the speed
+    test flags, (contour, phase sum) for each contour with none, and the
+    midpoint of every flagged step with the index it is inserted before.
+    The closing step of a contour ends at its first node, t = 0, read as 1.
     """
     ends = sizes.cumsum()
     starts = ends - sizes
@@ -196,26 +196,22 @@ def _bisect(t, v, speed, sizes):
     # is used, and both masks share one buffer of at least 1 KiB, since
     # numpy keeps up to seven freed buffers of every smaller size
     bad, test = np.empty((2, max(len(t), 512)), dtype=bool)[:, :len(t)]
-    v_next = v[nxt]
-    with np.errstate(invalid="ignore"):
-        ratio = v_next / v
-        dphi = np.arctan2(ratio.imag, ratio.real)
-    del ratio
-    np.greater(np.abs(dphi), JUMP_THRESHOLD, out=bad)
     mags = np.abs(v)
-    mags_next = mags[nxt]
-    lo = np.minimum(mags, mags_next)
-    bad |= np.less(lo, DIP_RATIO * np.maximum(mags, mags_next), out=test)
-    del mags, mags_next
-    bad |= np.greater(np.abs(v_next - v), CHORD_RATIO * lo, out=test)
-    del v_next, lo
+    np.greater(np.abs(v[nxt] - v), CHORD_RATIO * np.minimum(mags, mags[nxt]), out=bad)
+    del mags
     bad |= np.greater((t_next - t) * np.maximum(speed, speed[nxt]),
                       JUMP_THRESHOLD, out=test)
     nbad = np.add.reduceat(bad, starts, dtype=np.intp)
+    # phase increments only at the nodes of the contours that resolve
+    done = (nbad == 0).nonzero()[0]
+    nodes = np.repeat(nbad == 0, sizes)
+    with np.errstate(invalid="ignore"):
+        ratio = v[nxt[nodes]] / v[nodes]
+        dphi = np.arctan2(ratio.imag, ratio.real)
     # np.sum on a contour's own slice keeps the pairwise order of summing
     # that contour alone
-    sums = [(c, float(np.sum(dphi[starts[c]:ends[c]])))
-            for c in (nbad == 0).nonzero()[0]]
+    sums = [(c, float(np.sum(dphi[top - sizes[c]:top])))
+            for c, top in zip(done, sizes[done].cumsum())]
     idx = bad.nonzero()[0]
     t_hi = t_next[idx]
     t_mid = 0.5 * (t[idx] + t_hi)
@@ -459,6 +455,11 @@ def valence_profile(f, w: complex, radii) -> list:
     return [(r, _unwrap(outcome)[0]) for r, outcome in zip(radii, outcomes)]
 
 
+def _check_resolution(resolution):
+    if not 16 <= resolution <= 4096:
+        raise ValueError("resolution must lie in [16, 4096]")
+
+
 def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapGrid:
     """Winding count at every grid cell w inside |w| < radius - 1e-3.
 
@@ -466,10 +467,8 @@ def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapG
     for compatibility and ignored.  Per-cell failures become ERROR_MARK,
     never an exception.
     """
-    if not 16 <= resolution <= 4096:
-        raise ValueError("resolution must lie in [16, 4096]")
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
+    _check_resolution(resolution)
+    _check_radii((radius,))
     margin = radius - 1e-3
     xs = _cell_axis(resolution)
     ys = -_cell_axis(resolution)  # top row first

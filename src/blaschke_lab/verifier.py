@@ -131,13 +131,17 @@ def min_abs_derivative(f: DiscMapHandle) -> float:
     return float(np.min(np.abs(derivs)))
 
 
+def _check_sizes(*sizes):
+    if min(sizes) <= 0:
+        raise ValueError("suite sizes must be positive")
+
+
 def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> SuiteReport:
     """Forward law: a degree-n Blaschke product takes every target in the
     disc exactly n times, by winding count and by direct preimage solving.
     Contrapositive probes: gallery members with non-constant valence.
     """
-    if n_products <= 0 or n_targets <= 0:
-        raise ValueError("suite sizes must be positive")
+    _check_sizes(n_products, n_targets)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     cases = []
@@ -192,8 +196,7 @@ def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> Su
 def check_theorem_B(seed: int, n_pairs: int = 50) -> SuiteReport:
     """Composition stays in the class: structural composition is a valid
     Blaschke product, matches pointwise evaluation, and multiplies degrees."""
-    if n_pairs <= 0:
-        raise ValueError("suite sizes must be positive")
+    _check_sizes(n_pairs)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     cases = []
@@ -231,8 +234,7 @@ def check_theorem_C(seed: int, n_products: int = 50, n_mobius: int = 20) -> Suit
     """Critical census: degree n >= 2 forces exactly n-1 interior critical
     points (so a nowhere-critical member must have degree 1); degree 1
     members have an empty census and are recoverable automorphisms."""
-    if n_products <= 0 or n_mobius <= 0:
-        raise ValueError("suite sizes must be positive")
+    _check_sizes(n_products, n_mobius)
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     cases = []
@@ -288,6 +290,11 @@ class PipelineVerdict:
     detail: str = ""
 
 
+def _check_valence_bound(valence_bound):
+    if valence_bound < 1:
+        raise ValueError(f"valence bound must be at least 1, got {valence_bound}")
+
+
 def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> PipelineVerdict:
     """Certification pipeline: boundary-modulus diagnostic, bounded valence,
     nowhere-vanishing derivative, then automorphism recovery.
@@ -297,8 +304,7 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
     for the probe target f(0) when it fails.  A bound below 1, which no
     non-constant map meets, raises ValueError before any stage runs.
     """
-    if valence_bound < 1:
-        raise ValueError(f"valence bound must be at least 1, got {valence_bound}")
+    _check_valence_bound(valence_bound)
     stats = boundary_modulus_stats(candidate)
     if stats["mean"] <= INNER_MEAN_THRESHOLD:
         return PipelineVerdict(
@@ -341,9 +347,8 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
 def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
                       n_valence: int = 100) -> SuiteReport:
     """The slit-power map is neither injective nor surjective, misses only
-    a null set, and has nowhere-vanishing derivative and valence <= k."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    a null set, and has nowhere-vanishing derivative and valence <= k.
+    ``make_slit_power`` checks k before any case runs."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
     f = make_slit_power(k)
@@ -417,6 +422,11 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
     return SuiteReport("theorem-3-2", seed, tuple(cases), time.perf_counter() - t0)
 
 
+def _check_demo_target(w):
+    if abs(w) >= 0.5:
+        raise ValueError("demo target must satisfy |w| < 0.5")
+
+
 def demo_hurwitz_escape(n_list=(2, 10, 100), w: complex = 0.1):
     """Valence table of the escape family at w versus its pointwise limit.
 
@@ -424,8 +434,7 @@ def demo_hurwitz_escape(n_list=(2, 10, 100), w: complex = 0.1):
     boundary) while the limit map -z has valence 1: locally uniform
     convergence alone does not transfer valence counts.
     """
-    if abs(w) >= 0.5:
-        raise ValueError("demo target must satisfy |w| < 0.5")
+    _check_demo_target(w)
     rows = []
     for n in n_list:
         handle = make_escape_sequence(int(n))

@@ -366,6 +366,51 @@ def test_verify_expect_takes_only_verdicts(capsys):
     assert "not-inner" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("heatmap", "--map", "half", "--resolution", "5"),
+     "argument --resolution: resolution must lie in [16, 4096]"),
+    (("heatmap", "--map", "half", "--radius", "1.5"),
+     "argument --radius: contour radius must lie in (0, 1), got 1.5"),
+    (("verify", "theorem-a", "--seed", "1", "--cases", "0"),
+     "argument --cases: suite sizes must be positive"),
+    (("verify", "theorem-a", "--seed", "1", "--targets", "-3"),
+     "argument --targets: suite sizes must be positive"),
+    (("verify", "theorem-b", "--seed", "1", "--cases", "0"),
+     "argument --cases: suite sizes must be positive"),
+    (("verify", "theorem-c", "--seed", "1", "--cases", "0"),
+     "argument --cases: suite sizes must be positive"),
+    (("verify", "theorem-c", "--seed", "1", "--mobius-cases", "0"),
+     "argument --mobius-cases: suite sizes must be positive"),
+    (("verify", "theorem-3-2", "--k", "1"),
+     "argument --k: power exponent k must be an integer >= 2"),
+    (("verify", "theorem-3-1", "--candidate", "half", "--bound", "0"),
+     "argument --bound: valence bound must be at least 1, got 0"),
+    (("verify", "hurwitz-demo", "--w", "0.6"),
+     "argument --w: demo target must satisfy |w| < 0.5"),
+    (("verify", "hurwitz-demo", "--n-list", "2,1"),
+     "argument --n-list: escape index n must be an integer >= 2"),
+], ids=["resolution", "radius", "a-cases", "a-targets", "b-cases", "c-cases",
+        "c-mobius-cases", "3-2-k", "3-1-bound", "hurwitz-w", "hurwitz-n-list"])
+def test_a_value_out_of_its_range_exits_2_and_is_named(capsys, argv, message):
+    # the option runs the library's own check, so the reason is the library's
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    prog = " ".join(("blaschke-lab",) + argv[:2 if argv[0] == "verify" else 1])
+    assert err.startswith(f"usage: {prog} ")
+    assert err.endswith(f"{prog}: error: {message}\n")
+
+
+def test_the_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(verifier, "demo_hurwitz_escape",
+                        lambda **kwargs: seen.append(kwargs) or ([(2, 2)], 1))
+    for argv in (("--w", "0.2", "--n-list", "3"), ()):
+        assert run_cli(capsys, "verify", "hurwitz-demo", *argv)[0] == 0
+    assert seen == [{"w": 0.2, "n_list": (3,)}, {}]
+
+
 def test_verify_calls_the_suite_function_bound_on_the_verifier_module(monkeypatch, capsys):
     # a wrapper installed on the verifier's name (a tracer, say) sees CLI runs
     monkeypatch.setattr(verifier, "demo_hurwitz_escape",

@@ -227,6 +227,112 @@ def test_new_contours_follow_the_closing_midpoints_of_the_last_live_one(monkeypa
     assert [o[0] for o in batched] == [3, 3, 0, 3, 3, 3, 3, 3]
 
 
+def _four_test_bisect(t, v, speed, sizes):
+    """The four-test refinement rule, kept as the reference of
+    ``valence._bisect``: its chord and speed tests plus a phase-jump test
+    (over pi/2) and a modulus-dip test (below 1e-3 of the other end).
+    Returns its outcome and how many steps the jump and the dip test flag."""
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    nxt = np.arange(1, len(t) + 1)
+    nxt[ends - 1] = starts
+    t_next = t[nxt]
+    t_next[ends - 1] += 1.0
+    v_next = v[nxt]
+    with np.errstate(invalid="ignore"):
+        ratio = v_next / v
+        dphi = np.arctan2(ratio.imag, ratio.real)
+    mags, mags_next = np.abs(v), np.abs(v_next)
+    lo = np.minimum(mags, mags_next)
+    jump = np.abs(dphi) > valence.JUMP_THRESHOLD
+    dip = lo < 1e-3 * np.maximum(mags, mags_next)
+    bad = (jump | dip | (np.abs(v_next - v) > valence.CHORD_RATIO * lo)
+           | ((t_next - t) * np.maximum(speed, speed[nxt]) > valence.JUMP_THRESHOLD))
+    nbad = np.add.reduceat(bad, starts, dtype=np.intp)
+    sums = [(c, float(np.sum(dphi[starts[c]:ends[c]]))) for c in (nbad == 0).nonzero()[0]]
+    idx = bad.nonzero()[0]
+    t_hi = t_next[idx]
+    t_mid = 0.5 * (t[idx] + t_hi)
+    pos = idx + 1
+    for k in (t_mid == t_hi).nonzero()[0]:
+        end = ends[np.searchsorted(ends, idx[k], side="right")]
+        while pos[k] < end and t[pos[k]] <= t_mid[k]:
+            pos[k] += 1
+    return (nbad, sums, t_mid, pos), (int(jump.sum()), int(dip.sum()))
+
+
+def _agrees_with_four_tests(outcome, t, v, speed, sizes):
+    """Assert that ``_bisect``'s outcome flags the steps that the four-test
+    rule flags and has its phase-sum bits; returns the jump and dip counts."""
+    (nbad, sums, t_mid, pos), fired = _four_test_bisect(t, v, speed, sizes)
+    got_nbad, got_sums, got_mid, got_pos = outcome
+    assert got_nbad.tolist() == nbad.tolist()
+    assert [(int(c), x.hex()) for c, x in got_sums] == [(int(c), x.hex()) for c, x in sums]
+    assert got_mid.tobytes() == t_mid.tobytes() and got_pos.tolist() == pos.tolist()
+    return fired
+
+
+def _adversarial_contour(rng, n):
+    """Nodes t and values v of one contour of n nodes, at a modulus scale
+    from 1e-300 to 1, whose steps mix smooth moves with phase turns just
+    over or under pi/2 and modulus ratios just under or over 1e-3."""
+    t = (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+    t[0] = 0.0
+    turn = rng.normal(0.0, 0.1, n)
+    log_mod = rng.normal(0.0, 0.05, n)
+    near = 10.0 ** rng.uniform(-15, -1, n) * rng.choice((-1.0, 1.0), n)
+    kind = rng.integers(0, 4, n)          # 0, 1: smooth; 2: turn; 3: dip
+    turn[kind == 2] = (math.pi / 2 * (1.0 + near) * rng.choice((-1.0, 1.0), n))[kind == 2]
+    level = 0.0
+    for j in (kind == 3).nonzero()[0]:    # dips climb back, so |v| stays >= 1e-303
+        log_mod[j] = math.log(1e-3 * (1.0 + near[j])) * (1.0 if level > 0 else -1.0)
+        level += log_mod[j]
+    v = 10.0 ** rng.uniform(-300, 0) * np.exp(np.cumsum(log_mod + 1j * turn))
+    return t, v
+
+
+def test_two_step_tests_flag_what_four_did_on_adversarial_steps():
+    rng = np.random.default_rng(20)
+    contours, speeds = [], []
+    for _ in range(300):
+        n = int(rng.integers(64, 160))
+        if rng.uniform() < 0.5:
+            contours.append(_adversarial_contour(rng, n))
+            # speeds whose test fires on some steps and not on others
+            speeds.append(rng.uniform(0.0, 1.2, n) * n * valence.JUMP_THRESHOLD)
+        else:                             # smooth contours, which resolve
+            t = (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+            t[0] = 0.0
+            v = (10.0 ** rng.uniform(-300, 0) * np.exp(2j * math.pi * int(rng.integers(0, 3)) * t)
+                 * (1.0 + 0.3 * np.cos(2 * math.pi * t)))
+            contours.append((t, v))
+            speeds.append(rng.uniform(0.0, 0.5, n) * n * valence.JUMP_THRESHOLD)
+    sizes = np.array([len(t) for t, _ in contours])
+    t = np.concatenate([t for t, _ in contours])
+    v = np.concatenate([v for _, v in contours])
+    speed = np.concatenate(speeds)
+    outcome = valence._bisect(t, v, speed, sizes)
+    jumps, dips = _agrees_with_four_tests(outcome, t, v, speed, sizes)
+    assert jumps > 1000 and dips > 1000 and len(outcome[1]) > 10
+
+
+def test_two_step_tests_flag_what_four_did_in_engine_runs(monkeypatch):
+    fired = []
+    bisect = valence._bisect
+
+    def checked(t, v, speed, sizes):
+        outcome = bisect(t, v, speed, sizes)
+        fired.append(_agrees_with_four_tests(outcome, t, v, speed, sizes))
+        return outcome
+
+    monkeypatch.setattr(valence, "_bisect", checked)
+    valence_heatmap(make_atomic_inner(), 16, 0.999)
+    check_theorem_A(1, 3, 5)
+    check_theorem_3_2(2, 0, 500, 10)     # the only one of these runs with dips
+    jumps, dips = np.sum(fired, axis=0)
+    assert len(fired) > 300 and jumps > 10000 and dips > 100
+
+
 def _reference_cell(f, w, radius, delta):
     """The jitter ladder of one heatmap cell, one contour at a time."""
     for k in (0,) + PERTURB_STEPS:

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every
-module-level private name is read somewhere in the package, and the one
-chain rule of the package is the only map evaluation inside a handle.
+module-level private name and UPPER_CASE constant is read somewhere in the
+package, and the one chain rule of the package is the only map evaluation
+inside a handle.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -81,9 +82,9 @@ def test_the_only_evaluation_inside_a_handle_is_the_chain_rule():
 
 
 def unread_private_names(sources: dict) -> list:
-    """``module:name`` for each module-level ``_name`` (dunders aside) that no
-    module of ``sources`` ({module: source}) reads, imports or takes as an
-    attribute."""
+    """``module:name`` for each module-level ``_name`` (dunders aside) or
+    UPPER_CASE constant that no module of ``sources`` ({module: source})
+    reads, imports or takes as an attribute."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -106,8 +107,8 @@ def unread_private_names(sources: dict) -> list:
             else:
                 continue
             unread += [f"{module}:{name}" for name in bound
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in read]
+                       if (name.startswith("_") and not name.startswith("__")
+                           or name.isupper()) and name not in read]
     return sorted(unread)
 
 
@@ -115,6 +116,13 @@ def test_the_check_sees_an_unread_private_name():
     sources = {"a.py": "_used = 1\n_idle, _x = 2, 3\ndef _helper(): return _x\n",
                "b.py": "from .a import _used\nimport a\nprint(_used, a._helper)\n"}
     assert unread_private_names(sources) == ["a.py:_idle"]
+
+
+def test_the_check_sees_an_unread_constant():
+    sources = {"a.py": "STEP = 1\nDIP_RATIO, RATE_2 = 2, 3\nLimit = 4\n"
+                       "def f(x): return x * STEP\n",
+               "b.py": "from .a import f\nimport a\nprint(f(a.RATE_2))\n"}
+    assert unread_private_names(sources) == ["a.py:DIP_RATIO"]
 
 
 def test_every_module_level_private_name_is_read_in_the_package():
