@@ -13,6 +13,7 @@ import inspect
 import json
 import os
 import sys
+import time
 
 from . import verifier
 from .errors import BlaschkeLabError, MapSpecError
@@ -88,12 +89,9 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _disc_point(text: str) -> complex:
-    """argparse type: a complex number inside the unit disc."""
-    z = parse_complex(text)
+def _check_disc(z: complex):
     if abs(z) >= 1.0:
-        raise argparse.ArgumentTypeError(f"|z| must be < 1, got {format_complex(z)}")
-    return z
+        raise ValueError(f"|z| must be < 1, got {format_complex(z)}")
 
 
 def _comma_list(kind):
@@ -204,10 +202,10 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-def _render_suite(report: SuiteReport):
+def _render_suite(report: SuiteReport, seconds: float):
     return (report_jsonl(report), report.ok,
             f"suite={report.suite} cases={report.cases_run} "
-            f"failures={len(report.failures)} wall-time={report.wall_time_s:.2f}s")
+            f"failures={len(report.failures)} wall-time={seconds:.2f}s")
 
 
 def _render_verdict(verdict: PipelineVerdict, candidate, expect):
@@ -258,9 +256,11 @@ def cmd_verify(args) -> int:
     # the suite's options default to absent, so these are the ones given
     given = vars(args)
     kwargs = {key: value for key, value in given.items() if key in params.values()}
+    t0 = time.perf_counter()
     result = getattr(verifier, name)(**kwargs)
+    seconds = time.perf_counter() - t0
     if isinstance(result, SuiteReport):
-        payload, ok, note = _render_suite(result)
+        payload, ok, note = _render_suite(result, seconds)
     elif isinstance(result, PipelineVerdict):
         payload, ok, note = _render_verdict(result, kwargs["candidate"], given.get("expect"))
     else:
@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a map and its derivative")
     p_eval.add_argument("--map", required=True, **OPTIONS["map"])
-    p_eval.add_argument("--z", required=True, type=_disc_point,
+    p_eval.add_argument("--z", required=True, type=parse_complex, action=_Checked,
+                        check=_check_disc,
                         help='point inside the unit disc, "a+bi" or "a,b"')
     p_eval.set_defaults(fn=cmd_eval)
 

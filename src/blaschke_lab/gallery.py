@@ -160,14 +160,12 @@ def power_preimages(w: complex, k: int) -> list:
     return [slit_h(z) for z in roots if not (z.imag == 0.0 and z.real >= 0.0)]
 
 
-def slit_collision_pair(u1: complex = 0.3 + 0.3j):
+def slit_collision_pair():
     """Two distinct points the squared slit map cannot tell apart:
-    u2 = h(-g(u1)) satisfies g(u2)^2 = g(u1)^2."""
+    u2 = h(-g(u1)) satisfies g(u2)^2 = g(u1)^2 for u1 = 0.3+0.3i."""
+    u1 = 0.3 + 0.3j
     value, _ = slit_g(u1)
-    if value.imag == 0.0:
-        raise ValueError("pick u1 with g(u1) off the real axis")
-    u2 = slit_h(-value)
-    return complex(u1), u2
+    return u1, slit_h(-value)
 
 
 def make_atomic_inner() -> DiscMapHandle:

@@ -533,6 +533,16 @@ def test_verify_pipeline_expectation_mismatch_exits_1(capsys):
     assert code == 1
 
 
+def test_verify_pipeline_names_the_critical_point_of_a_blaschke_candidate(capsys):
+    candidate = '{"type":"blaschke","lambda":[1,0],"zeros":[[0.3,0.1],[-0.2,0.4]]}'
+    code, out, _ = run_cli(capsys, "verify", "theorem-3-1", "--candidate", candidate,
+                           "--bound", "2", "--expect", "vanishing-derivative")
+    assert code == 0
+    case = json.loads(out.splitlines()[0])
+    assert case["verdict"] == "vanishing-derivative"
+    assert "critical point 0.032369+0.237374i" in case["detail"]
+
+
 def test_verify_hurwitz_demo_csv(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
     code, _, _ = run_cli(capsys, "verify", "hurwitz-demo", "--out", str(out_path))

@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every
 module-level private name and UPPER_CASE constant is read somewhere in the
-package, and the one chain rule of the package is the only map evaluation
-inside a handle.
+package, the one chain rule of the package is the only map evaluation
+inside a handle, and only the CLI reads a clock.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -46,6 +46,25 @@ def test_the_package_has_modules_to_check():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def imports_time(source: str) -> bool:
+    """Whether a module imports ``time`` or a name from it."""
+    return any(isinstance(node, ast.Import) and any(alias.name == "time" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "time" and not node.level
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_the_check_sees_a_clock_import():
+    sources = ["import time\n", "import os, time as clock\n", "from time import perf_counter\n",
+               "import timeit\nfrom . import time\nfrom .time import now\n"]
+    assert [imports_time(source) for source in sources] == [True, True, True, False]
+
+
+def test_only_the_cli_reads_a_clock():
+    # suites are pure: equal inputs give equal reports, so none carries a time
+    clocked = [module for module in MODULES if imports_time((PACKAGE / module).read_text())]
+    assert set(clocked) <= {"cli.py"}
 
 
 def nested_eval_many_calls(source: str) -> list:

@@ -8,6 +8,7 @@ from blaschke_lab.errors import (
     DiscPreservationError,
     NotAnAutomorphismError,
 )
+from blaschke_lab.gallery import frostman_shift, make_half_map
 from blaschke_lab.maps import (
     BlaschkeProduct,
     DiscMapHandle,
@@ -387,6 +388,30 @@ def test_recover_rejects_square():
     b = BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 0j))
     with pytest.raises(NotAnAutomorphismError):
         mobius_recover(opaque(blaschke_handle(b)))
+
+
+def test_recover_reports_a_stalled_newton_search():
+    # |F_a(z/2)| has no zero in the disc for a = 0.99: its minimum sits on the boundary
+    with pytest.raises(NotAnAutomorphismError,
+                       match=r"Newton search for the zero stalled at \|f\| = 9\.703e-01$") as info:
+        mobius_recover(frostman_shift(make_half_map(), 0.99))
+    assert info.value.sup_error is None
+
+
+def test_recover_reports_a_missed_fit():
+    # a Mobius map after u = z + 1e-4 z (z - alpha) keeps its zero alpha and
+    # its constant, so only the fit on the grid sees the bend
+    m = MobiusAutomorphism(alpha=0.3 + 0.2j, lam=1j)
+    outer = mobius_handle(m)
+
+    def bent(z):
+        v, d = outer.eval_many(z + 1e-4 * z * (z - m.alpha))
+        return v, d * (1.0 + 1e-4 * (2.0 * z - m.alpha))
+
+    with pytest.raises(NotAnAutomorphismError,
+                       match=r"^bent: best Mobius fit misses by 1\.070e-04$") as info:
+        mobius_recover(DiscMapHandle(bent, "bent"))
+    assert info.value.sup_error == pytest.approx(1.0705e-4, rel=1e-4)
 
 
 def test_recover_near_boundary_alpha():

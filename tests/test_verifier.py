@@ -24,7 +24,7 @@ from blaschke_lab.maps import (
     opaque,
 )
 from blaschke_lab.verifier import (
-    boundary_modulus_stats,
+    boundary_mean,
     check_theorem_3_1,
     check_theorem_3_2,
     check_theorem_A,
@@ -106,6 +106,11 @@ def test_a_solver_failure_becomes_an_error_record(monkeypatch, capsys, solver):
     assert lines[-1]["summary"]["failures"] == 1 and not lines[-1]["summary"]["ok"]
 
 
+def test_suites_are_pure():
+    assert check_theorem_B(1, 5) == check_theorem_B(1, 5)
+    assert check_theorem_C(1, 3, 2) == check_theorem_C(1, 3, 2)
+
+
 def test_theorem_b_golden_small():
     report = check_theorem_B(seed=1, n_pairs=10)
     assert report.ok
@@ -175,6 +180,32 @@ def test_pipeline_verdict_vanishing_derivative():
     assert verdict.verdict == "vanishing-derivative"
 
 
+# a degree-2 product whose one critical point falls between the points of
+# the derivative grid
+DEGREE_TWO = BlaschkeProduct(lam=1 + 0j, zeros=(0.3 + 0.1j, -0.2 + 0.4j))
+
+
+def test_pipeline_names_the_critical_point_of_a_blaschke_candidate():
+    verdict = check_theorem_3_1(blaschke_handle(DEGREE_TWO), valence_bound=2)
+    assert verdict.verdict == "vanishing-derivative"
+    assert verdict.detail == ("f' vanishes at the critical point 0.032369+0.237374i, "
+                              "where |f'| = 4.3e-17")
+    # the grid alone misses it
+    assert min_abs_derivative(blaschke_handle(DEGREE_TWO)) > verifier.DERIVATIVE_FLOOR
+
+
+def test_pipeline_falls_back_to_the_grid_when_the_census_fails(monkeypatch):
+    def failing(b):
+        raise SolverFailure("census did not converge")
+
+    monkeypatch.setattr(verifier, "blaschke_critical_points", failing)
+    a = complex(derivative_grid()[1234])
+    double = blaschke_handle(BlaschkeProduct(lam=1 + 0j, zeros=(a, a)))
+    verdict = check_theorem_3_1(double, valence_bound=2)
+    assert verdict.verdict == "vanishing-derivative"
+    assert verdict.detail.startswith("min |f'| on the probe grid is ")
+
+
 def test_pipeline_verdict_valence_scan_error():
     def identity_with_hole(z):
         values = z.copy()
@@ -189,9 +220,9 @@ def test_pipeline_verdict_valence_scan_error():
 
 def test_boundary_modulus_separates_classes():
     b = blaschke_handle(make_escape_sequence(4).blaschke)
-    assert boundary_modulus_stats(b)["mean"] > 0.99
-    assert boundary_modulus_stats(make_scaled_exponential())["mean"] < 1e-5
-    s_mean = boundary_modulus_stats(make_atomic_inner())["mean"]
+    assert boundary_mean(b) > 0.99
+    assert boundary_mean(make_scaled_exponential()) < 1e-5
+    s_mean = boundary_mean(make_atomic_inner())
     assert 0.0 < s_mean < 1.0
 
 
