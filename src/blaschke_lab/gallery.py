@@ -26,7 +26,7 @@ def make_half_map() -> DiscMapHandle:
     def fn(z):
         return 0.5 * z, np.full_like(z, 0.5)
 
-    return DiscMapHandle(fn, "half", spec={"type": "gallery", "name": "half"})
+    return DiscMapHandle(fn, "half", spec={"type": "gallery", "name": "half"}, inner=False)
 
 
 def make_scaled_exponential(epsilon: float = 1e-10, c: float = 10.0) -> DiscMapHandle:
@@ -46,7 +46,9 @@ def make_scaled_exponential(epsilon: float = 1e-10, c: float = 10.0) -> DiscMapH
 
     spec = {"type": "gallery", "name": "scaled-exp",
             "params": {"epsilon": epsilon, "c": c}}
-    return DiscMapHandle(fn, f"scaled-exp(epsilon={epsilon:g}, c={c:g})", spec=spec)
+    # |f| = epsilon e^{c cos t} < 1 on the circle
+    return DiscMapHandle(fn, f"scaled-exp(epsilon={epsilon:g}, c={c:g})", spec=spec,
+                         inner=False)
 
 
 def _branch_hits(branch, radius: float) -> list:
@@ -115,8 +117,9 @@ def slit_h(z: complex) -> complex:
 
 
 def make_slit_map() -> DiscMapHandle:
+    # an arc of the circle goes onto the slit, where |g| < 1
     return DiscMapHandle(_slit_g_vec, "slit-g",
-                         spec={"type": "gallery", "name": "slit-g"})
+                         spec={"type": "gallery", "name": "slit-g"}, inner=False)
 
 
 def slit_distance(z: complex) -> float:
@@ -144,7 +147,8 @@ def make_slit_power(k: int = 2) -> DiscMapHandle:
 
     return replace(compose_handles(DiscMapHandle(power, f"u^{k}"), make_slit_map()),
                    descriptor=f"(slit-g)^{k}",
-                   spec={"type": "gallery", "name": "slit-power", "params": {"k": k}})
+                   spec={"type": "gallery", "name": "slit-power", "params": {"k": k}},
+                   inner=False)
 
 
 def power_preimages(w: complex, k: int) -> list:
@@ -177,7 +181,7 @@ def make_atomic_inner() -> DiscMapHandle:
         return v, -2.0 / (z - 1.0) ** 2 * v
 
     return DiscMapHandle(fn, "atomic-inner",
-                         spec={"type": "gallery", "name": "atomic-inner"})
+                         spec={"type": "gallery", "name": "atomic-inner"}, inner=True)
 
 
 def atomic_preimage_count(r: float, w: complex = math.exp(-1)) -> int:
@@ -213,8 +217,10 @@ def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:
 
     spec = None if base.spec is None else {
         "type": "gallery", "name": "frostman", "params": {"base": base.spec, "a": [a.real, a.imag]}}
+    # the shift is an automorphism, so F_a is inner exactly when f is
     return replace(compose_handles(DiscMapHandle(shift, f"shift(a={a:.4g})"), base),
-                   descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
+                   descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec,
+                   inner=base.inner)
 
 
 def _check_escape_indices(ns):
@@ -240,4 +246,4 @@ def make_limit_of_escape() -> DiscMapHandle:
     def fn(z):
         return -z, np.full_like(z, -1.0)
 
-    return DiscMapHandle(fn, "limit(-z)")
+    return DiscMapHandle(fn, "limit(-z)", inner=True)

@@ -100,13 +100,16 @@ class DiscMapHandle:
 
     ``fn`` must accept a complex ndarray and return (values, derivatives)
     ndarrays.  Every evaluation is spot-checked: an interior point with
-    |f(z)| >= 1 raises a diagnostic.  Handles compare and hash by identity.
+    |f(z)| >= 1 raises a diagnostic.  ``inner`` says whether the map is
+    inner by its construction: True, False, or None when that is unknown.
+    Handles compare and hash by identity.
     """
 
     fn: Callable
     descriptor: str
     blaschke: BlaschkeProduct | None = None
     spec: dict | None = None
+    inner: bool | None = None
 
     def __repr__(self):
         return f"DiscMapHandle({self.descriptor})"
@@ -114,9 +117,9 @@ class DiscMapHandle:
     def eval_many(self, z: np.ndarray):
         z = np.asarray(z, dtype=complex)
         values, derivs = self.fn(z)
-        interior = np.abs(z) < 1.0
-        bad = interior & (np.abs(values) >= 1.0 + DISC_CHECK_SLACK)
-        if bad.any():
+        # only a value on or outside the circle needs the interior test
+        bad = np.abs(values) >= 1.0 + DISC_CHECK_SLACK
+        if bad.any() and (bad := bad & (np.abs(z) < 1.0)).any():
             i = int(np.argmax(bad))
             raise DiscPreservationError(
                 f"{self.descriptor}: |f({complex(z.flat[i])!r})| = "
@@ -142,38 +145,43 @@ def mobius_inverse(m: MobiusAutomorphism) -> MobiusAutomorphism:
     return MobiusAutomorphism(alpha=-m.lam * m.alpha, lam=m.lam.conjugate())
 
 
-def _blaschke_eval_vec(b: BlaschkeProduct, z: np.ndarray):
-    z = np.asarray(z, dtype=complex)
-    if b.degree == 0:
-        return np.full(z.shape, b.lam, dtype=complex), np.zeros_like(z)
-    shape = z.shape
-    flat = z.ravel()
+def _blaschke_evaluator(b: BlaschkeProduct):
+    """z -> (B(z), B'(z)) on ndarrays, with the columns of the zeros built once."""
     zeros = np.asarray(b.zeros, dtype=complex)[:, None]
     zc = zeros.conjugate()
-    gap = flat[None, :] - zeros
-    den = 1.0 - zc * flat[None, :]
-    factors = gap / den
-    values = b.lam * np.prod(factors, axis=0)
-    # Logarithmic derivative is cheap and exact away from the zeros.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logsum = (1.0 / gap + zc / den).sum(axis=0)
-        derivs = values * logsum
-    near = (np.abs(gap) < 1e-12 * (1.0 + np.abs(zeros))).any(axis=0)
-    if near.any():
-        # product rule by prefix and suffix products, safe on a zero
-        f, d = factors[:, near], den[:, near]
-        ones = np.ones_like(f[:1])
-        before = np.cumprod(np.concatenate([ones, f[:-1]]), axis=0)
-        after = np.cumprod(np.concatenate([ones, f[:0:-1]]), axis=0)[::-1]
-        dfactors = (1.0 - np.abs(zeros) ** 2) / (d * d)
-        derivs[near] = b.lam * (dfactors * before * after).sum(axis=0)
-    return values.reshape(shape), derivs.reshape(shape)
+    near_zero = 1e-12 * (1.0 + np.abs(zeros))
+    weights = 1.0 - np.abs(zeros) ** 2
+
+    def fn(z):
+        z = np.asarray(z, dtype=complex)
+        if b.degree == 0:
+            return np.full(z.shape, b.lam, dtype=complex), np.zeros_like(z)
+        row = z.reshape(1, -1)
+        gap = row - zeros
+        den = 1.0 - zc * row
+        factors = gap / den
+        values = b.lam * np.multiply.reduce(factors, axis=0)
+        # Logarithmic derivative is cheap and exact away from the zeros.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logsum = (1.0 / gap + zc / den).sum(axis=0)
+            derivs = values * logsum
+        near = (np.abs(gap) < near_zero).any(axis=0)
+        if near.any():
+            # product rule by prefix and suffix products, safe on a zero
+            f, d = factors[:, near], den[:, near]
+            ones = np.ones_like(f[:1])
+            before = np.cumprod(np.concatenate([ones, f[:-1]]), axis=0)
+            after = np.cumprod(np.concatenate([ones, f[:0:-1]]), axis=0)[::-1]
+            derivs[near] = b.lam * (weights / (d * d) * before * after).sum(axis=0)
+        return values.reshape(z.shape), derivs.reshape(z.shape)
+
+    return fn
 
 
 def blaschke_eval(b: BlaschkeProduct, z: complex):
     """Value and derivative at z; valid for |z| <= 1."""
     z = require_finite(z, "z")
-    v, d = _blaschke_eval_vec(b, np.array([z]))
+    v, d = _blaschke_evaluator(b)(np.array([z]))
     return complex(v[0]), complex(d[0])
 
 
@@ -226,7 +234,7 @@ def _preimages(b: BlaschkeProduct, pair, w: complex) -> RootSet:
         raise InternalConsistencyError(
             f"preimage polynomial degree {target.degree} != {b.degree}")
     rootset = aberth_roots(target)
-    values, _ = _blaschke_eval_vec(b, np.array(rootset.roots))
+    values, _ = _blaschke_evaluator(b)(np.array(rootset.roots))
     for root, value in zip(rootset.roots, values.tolist()):
         if abs(root) > 1.0 + ROOT_ANNULUS:
             raise InternalConsistencyError(
@@ -371,23 +379,30 @@ def mobius_handle(m: MobiusAutomorphism) -> DiscMapHandle:
 
 
 def blaschke_handle(b: BlaschkeProduct) -> DiscMapHandle:
-    def fn(z):
-        return _blaschke_eval_vec(b, z)
-
     spec = {"type": "blaschke", "lambda": [b.lam.real, b.lam.imag],
             "zeros": [[a.real, a.imag] for a in b.zeros]}
-    return DiscMapHandle(fn, f"blaschke(degree={b.degree})", blaschke=b, spec=spec)
+    return DiscMapHandle(_blaschke_evaluator(b), f"blaschke(degree={b.degree})",
+                         blaschke=b, spec=spec, inner=True)
 
 
 def identity_handle() -> DiscMapHandle:
     return mobius_handle(MobiusAutomorphism(alpha=0j, lam=1.0 + 0j))
 
 
+def _degree(h: DiscMapHandle):
+    return None if h.blaschke is None else h.blaschke.degree
+
+
 def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle:
     """outer after inner: a Blaschke product when both carry one of degree >= 1,
     else the package's one chain rule, on ``outer.fn`` unchecked: the result's
-    own ``eval_many`` checks the outer values at every interior z."""
-    if all(h.blaschke is not None and h.blaschke.degree >= 1 for h in (outer, inner)):
+    own ``eval_many`` checks the outer values at every interior z.
+
+    The result is inner exactly when outer is, if inner is inner and not
+    constant: its boundary map keeps the null sets of arc length.  An
+    automorphism after inner keeps inner's flag.  Otherwise it is unknown.
+    """
+    if _degree(outer) and _degree(inner):
         return blaschke_handle(blaschke_compose(outer.blaschke, inner.blaschke))
 
     def fn(z):
@@ -395,7 +410,13 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
         outer_v, outer_d = outer.fn(inner_v)
         return outer_v, outer_d * inner_d
 
-    return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})")
+    if _degree(outer) == 1:
+        flag = inner.inner
+    elif inner.inner and _degree(inner) != 0:
+        flag = outer.inner
+    else:
+        flag = None
+    return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})", inner=flag)
 
 
 def opaque(handle: DiscMapHandle) -> DiscMapHandle:

@@ -136,7 +136,8 @@ def _evaluate(f, z, sizes):
     a call shared by several blocks raises (maps raise for a whole batch),
     every block is evaluated on its own so that each error lands on the
     contour that causes it.  Returns values, derivatives and
-    {block: exception}.
+    {block: exception}; one call that evaluates every block returns its
+    own arrays.
     """
     wide = (sizes > 1).nonzero()[0]
     alone = (sizes == 1).nonzero()[0]
@@ -146,6 +147,8 @@ def _evaluate(f, z, sizes):
     errors = {}
     if len(wide):
         try:
+            if not len(alone):
+                return (*f.eval_many(z), errors)
             values[shared], derivs[shared] = f.eval_many(z[shared])
         except Exception as err:
             if len(wide) == 1:
@@ -210,10 +213,11 @@ def _bisect(t, v, speed, sizes):
     with np.errstate(invalid="ignore"):
         ratio = v[nxt[nodes]] / v[nodes]
         dphi = np.arctan2(ratio.imag, ratio.real)
-    # np.sum on a contour's own slice keeps the pairwise order of summing
-    # that contour alone
-    sums = [(c, float(np.sum(dphi[top - sizes[c]:top])))
-            for c, top in zip(done, sizes[done].cumsum())]
+    # np.add.reduce on a contour's own slice keeps the pairwise order of
+    # summing that contour alone, as np.sum does; np.add.reduceat does not
+    lengths = sizes[done]
+    sums = [(c, float(np.add.reduce(dphi[top - n:top]))) for c, n, top
+            in zip(done.tolist(), lengths.tolist(), lengths.cumsum().tolist())]
     idx = bad.nonzero()[0]
     t_hi = t_next[idx]
     t_mid = 0.5 * (t[idx] + t_hi)
@@ -226,6 +230,17 @@ def _bisect(t, v, speed, sizes):
         while pos[k] < end and t[pos[k]] <= t_mid[k]:
             pos[k] += 1
     return nbad, sums, t_mid, pos
+
+
+def _merge(pos, n):
+    """Indices into n nodes followed by new ones, in merged order: new node k
+    goes before node pos[k], and pos never decreases, so it lands at pos[k] + k."""
+    slots = pos + np.arange(len(pos))
+    merged = np.ones(n + len(pos), dtype=np.intp)
+    merged[slots] = 0
+    merged = merged.cumsum() - 1
+    merged[slots] = np.arange(n, len(merged))
+    return merged
 
 
 def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
@@ -278,7 +293,7 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
 
         projected = (resolved_nodes / resolved if resolved
                      else max(initial_nodes, WAVE_NODES / ADMIT_MAX))
-        live = float(np.sum(np.maximum(sizes + nbad, projected)[nbad > 0]))
+        live = float(np.maximum(sizes + nbad, projected)[nbad > 0].sum())
         admitted = []
         while queued < len(rs) and len(admitted) < ADMIT_MAX and (
                 live + projected <= WAVE_NODES or not (live or admitted)):
@@ -287,14 +302,15 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
             live += projected
         if not (len(ts) or admitted):
             break
-        # a new contour's grid goes after every live node, and after the
-        # midpoints of the closing step of the last live contour, which share
-        # its position: np.insert keeps such nodes in input order
-        ids = np.concatenate([ids, np.array(admitted, dtype=np.intp)])
-        sizes = np.concatenate([sizes, np.zeros(len(admitted), dtype=np.intp)])
-        nbad = np.concatenate([nbad, np.full(len(admitted), initial_nodes, dtype=np.intp)])
-        ts = np.concatenate([ts] + [grid] * len(admitted))
-        pos = np.concatenate([pos, np.full(len(admitted) * initial_nodes, len(t))])
+        if admitted:
+            # a new contour's grid goes after every live node, and after the
+            # midpoints of the closing step of the last live contour, which
+            # share its position: _merge keeps such nodes in input order
+            ids = np.concatenate([ids, np.array(admitted, dtype=np.intp)])
+            sizes = np.concatenate([sizes, np.zeros(len(admitted), dtype=np.intp)])
+            nbad = np.concatenate([nbad, np.full(len(admitted), initial_nodes, dtype=np.intp)])
+            ts = np.concatenate([ts] + [grid] * len(admitted))
+            pos = np.concatenate([pos, np.full(len(admitted) * initial_nodes, len(t))])
 
         grow = nbad > 0
         owners = ids[grow]
@@ -323,8 +339,7 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
                 grow[blocks[b]] = False
 
         # next round: the nodes of the contours still refining, new ones at pos
-        merged = np.insert(np.arange(len(t)), pos, np.arange(len(t), len(t) + len(ts)))
-        source = merged[np.repeat(grow, sizes + nbad)]
+        source = _merge(pos, len(t))[np.repeat(grow, sizes + nbad)]
         t = np.concatenate([t, ts])[source]
         v = np.concatenate([v, gap])[source]
         speed = np.concatenate([speed, speed_new])[source]

@@ -288,8 +288,9 @@ def _check_valence_bound(valence_bound):
 
 
 def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> PipelineVerdict:
-    """Certification pipeline: boundary-modulus diagnostic, bounded valence,
-    nowhere-vanishing derivative, then automorphism recovery.
+    """Certification pipeline: boundary-modulus diagnostic, the handle's own
+    ``inner`` flag, bounded valence, nowhere-vanishing derivative, then
+    automorphism recovery.
 
     Each stage failure is a distinct verdict, never an exception.  The
     valence stage attaches a growth profile at the radii (0.9, 0.99, 0.999)
@@ -305,6 +306,11 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
         return PipelineVerdict(
             verdict="not-inner", boundary_mean=mean,
             detail=f"mean boundary modulus {mean:.4f} <= {INNER_MEAN_THRESHOLD}")
+    if candidate.inner is False:
+        return PipelineVerdict(
+            verdict="not-inner", boundary_mean=mean,
+            detail=f"{candidate.descriptor} is not inner by construction, "
+                   f"though its mean boundary modulus is {mean:.4f}")
 
     for w in sunflower_grid(100, 0.9):
         try:

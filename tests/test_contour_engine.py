@@ -41,7 +41,12 @@ from blaschke_lab.valence import (
     valence_profile,
     winding_number,
 )
-from blaschke_lab.verifier import check_theorem_3_2, check_theorem_A, demo_hurwitz_escape
+from blaschke_lab.verifier import (
+    check_theorem_3_1,
+    check_theorem_3_2,
+    check_theorem_A,
+    demo_hurwitz_escape,
+)
 
 CUBE = blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 0j, 0j)))
 
@@ -123,6 +128,21 @@ def _record_evaluations(monkeypatch):
     return sizes
 
 
+def _record_work(monkeypatch):
+    """A function that returns the ``eval_many`` calls, their nodes and the
+    ``_bisect`` rounds of every later engine run."""
+    sizes = _record_evaluations(monkeypatch)
+    rounds = []
+    bisect = valence._bisect
+
+    def counting(t, v, speed, sizes):
+        rounds.append(len(t))
+        return bisect(t, v, speed, sizes)
+
+    monkeypatch.setattr(valence, "_bisect", counting)
+    return lambda: (len(sizes), sum(sizes), len(rounds))
+
+
 def test_pinned_single_node_contour():
     assert winding_number(PINNED, PINNED_W, PINNED_R) == PINNED_OUTCOME
 
@@ -188,9 +208,77 @@ def test_midpoint_rounding_onto_its_right_end_sorts_after_it():
                                           np.array([16]))
     # the rounded midpoint shares its position with the next one
     assert nbad.tolist() == [3] and t_mid[1] == t[2] and pos[1] == pos[2]
-    merged = np.insert(np.arange(16), pos, 16 + np.arange(len(t_mid)))
+    merged = valence._merge(pos, 16)
     stable = np.argsort(np.concatenate([t, t_mid]), kind="stable")
     assert merged.tolist() == stable.tolist()
+
+
+def test_the_merge_puts_a_rounded_midpoint_and_an_admitted_grid_in_stable_order():
+    # contour 0 has a midpoint that rounds onto its right end; the closing
+    # step of contour 1 is flagged, so its midpoint goes to len(t), the
+    # position of the grid that a newly admitted contour 2 brings
+    x = 0.1 if 0.5 * (0.1 + np.nextafter(0.1, 1.0)) != 0.1 else np.nextafter(0.1, 1.0)
+    t0 = np.arange(16) / 16
+    t0[1], t0[2] = x, np.nextafter(x, 1.0)
+    t1 = np.arange(8) / 8
+    t = np.concatenate([t0, t1])
+    speed = np.zeros(24)
+    speed[1] = speed[2] = speed[23] = 1e300
+    sizes = np.array([16, 8])
+    nbad, _, t_mid, pos = valence._bisect(t, np.exp(2j * np.pi * t), speed, sizes)
+    assert nbad.tolist() == [3, 2] and t_mid[1] == t[2] and pos[-1] == 24
+    grid = np.arange(4) / 4
+    new_t = np.concatenate([t_mid, grid])
+    new_pos = np.concatenate([pos, np.full(4, 24)])
+    contour = np.concatenate([np.repeat([0, 1], sizes), [0, 0, 0, 1, 1], np.full(4, 2)])
+    stable = np.lexsort((np.concatenate([t, new_t]), contour))
+    assert valence._merge(new_pos, 24).tolist() == stable.tolist()
+
+
+def _merge_checked_against_a_stable_sort(monkeypatch):
+    """Check every merge of later engine runs against a stable sort of its
+    nodes by (contour, t); returns (midpoints, grid nodes) of each merge."""
+    bisect, merge = valence._bisect, valence._merge
+    last, checked = [], []
+
+    def recording(t, v, speed, sizes):
+        outcome = bisect(t, v, speed, sizes)
+        last[:] = [t, sizes, outcome[2], outcome[3]]
+        return outcome
+
+    def checked_merge(pos, n):
+        t, sizes, t_mid, mid_pos = last
+        grids = len(pos) - len(t_mid)
+        assert n == len(t) and pos[:len(t_mid)].tolist() == mid_pos.tolist()
+        assert (np.diff(pos) >= 0).all()
+        ends = sizes.cumsum()
+        contour = np.concatenate([np.repeat(np.arange(len(sizes)), sizes),
+                                  ends.searchsorted(mid_pos - 1, side="right"),
+                                  len(sizes) + np.arange(grids) // valence.INITIAL_NODES])
+        keys = np.concatenate([t, t_mid, np.arange(grids) % valence.INITIAL_NODES
+                               / valence.INITIAL_NODES])
+        merged = merge(pos, n)
+        assert merged.tolist() == np.lexsort((keys, contour)).tolist()
+        checked.append((len(t_mid), grids))
+        return merged
+
+    monkeypatch.setattr(valence, "_bisect", recording)
+    monkeypatch.setattr(valence, "_merge", checked_merge)
+    return checked
+
+
+@pytest.mark.parametrize("wave, admit", [(192, 2), (1024, 16), (6144, 16), (6144, 64)])
+def test_every_engine_merge_is_a_stable_sort_by_contour_and_t(monkeypatch, wave, admit):
+    monkeypatch.setattr(valence, "WAVE_NODES", wave)
+    monkeypatch.setattr(valence, "ADMIT_MAX", admit)
+    checked = _merge_checked_against_a_stable_sort(monkeypatch)
+    near = [(r ** 3 * (1.0 - 1e-3), r) for r in (0.5, 0.6, 0.7, 0.8)]
+    valence._wind(CUBE, [w for w, _ in near], [r for _, r in near])
+    valence_heatmap(make_atomic_inner(), 16, 0.999)
+    check_theorem_A(1, 2, 3)
+    assert len(checked) > 100
+    # some merges take midpoints and admitted grids at once
+    assert sum(1 for midpoints, grids in checked if midpoints and grids) > 3
 
 
 def test_new_contours_follow_the_closing_midpoints_of_the_last_live_one(monkeypatch):
@@ -291,7 +379,8 @@ def _adversarial_contour(rng, n):
     return t, v
 
 
-def test_two_step_tests_flag_what_four_did_on_adversarial_steps():
+def _adversarial_wave():
+    """300 seeded contours laid end to end: t, v, speed and sizes."""
     rng = np.random.default_rng(20)
     contours, speeds = [], []
     for _ in range(300):
@@ -310,10 +399,21 @@ def test_two_step_tests_flag_what_four_did_on_adversarial_steps():
     sizes = np.array([len(t) for t, _ in contours])
     t = np.concatenate([t for t, _ in contours])
     v = np.concatenate([v for _, v in contours])
-    speed = np.concatenate(speeds)
+    return t, v, np.concatenate(speeds), sizes
+
+
+def test_two_step_tests_flag_what_four_did_on_adversarial_steps():
+    t, v, speed, sizes = _adversarial_wave()
     outcome = valence._bisect(t, v, speed, sizes)
     jumps, dips = _agrees_with_four_tests(outcome, t, v, speed, sizes)
     assert jumps > 1000 and dips > 1000 and len(outcome[1]) > 10
+
+
+def test_midpoint_positions_never_decrease_on_adversarial_steps():
+    # the merge puts new node k at pos[k] + k, which needs pos sorted
+    t, v, speed, sizes = _adversarial_wave()
+    pos = valence._bisect(t, v, speed, sizes)[3]
+    assert len(pos) > 10000 and (np.diff(pos) >= 0).all()
 
 
 def test_two_step_tests_flag_what_four_did_in_engine_runs(monkeypatch):
@@ -551,6 +651,23 @@ def test_heatmap_waves_admit_contours_by_their_projected_size(monkeypatch):
     # resolved, and a 1,024-node wave, the same nodes took 1,006 calls
     assert sum(sizes) == 138900
     assert len(sizes) <= 307
+
+
+# run: (eval_many calls, nodes, _bisect rounds), as the engine did them
+# before the fixed numpy cost of a round was cut
+PINNED_WORK = {
+    "theorem-a": (lambda: check_theorem_A(1, 3, 5), (181, 73026, 195)),
+    "heatmap": (lambda: valence_heatmap(make_atomic_inner(), 24, 0.999), (307, 138900, 309)),
+    "theorem-3-1": (lambda: check_theorem_3_1(make_atomic_inner()), (177, 39775, 183)),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_WORK)
+def test_engine_work_is_pinned(monkeypatch, name):
+    run, work = PINNED_WORK[name]
+    count = _record_work(monkeypatch)
+    run()
+    assert count() == work
 
 
 @pytest.mark.parametrize("name", WORK)

@@ -27,6 +27,7 @@ from blaschke_lab.maps import (
     mobius_recover,
     opaque,
 )
+from blaschke_lab.maps import _blaschke_evaluator
 from blaschke_lab.numerics import aberth_roots
 
 
@@ -437,3 +438,58 @@ def test_handles_expose_structure():
     assert h.blaschke is b
     assert h.spec["type"] == "blaschke"
     assert opaque(h).blaschke is None
+
+
+def _per_call_blaschke_eval(b, z):
+    """The evaluator that built its zero column from ``b.zeros`` on every
+    call, kept as the reference of ``maps._blaschke_evaluator``."""
+    z = np.asarray(z, dtype=complex)
+    if b.degree == 0:
+        return np.full(z.shape, b.lam, dtype=complex), np.zeros_like(z)
+    shape = z.shape
+    flat = z.ravel()
+    zeros = np.asarray(b.zeros, dtype=complex)[:, None]
+    zc = zeros.conjugate()
+    gap = flat[None, :] - zeros
+    den = 1.0 - zc * flat[None, :]
+    factors = gap / den
+    values = b.lam * np.prod(factors, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logsum = (1.0 / gap + zc / den).sum(axis=0)
+        derivs = values * logsum
+    near = (np.abs(gap) < 1e-12 * (1.0 + np.abs(zeros))).any(axis=0)
+    if near.any():
+        f, d = factors[:, near], den[:, near]
+        ones = np.ones_like(f[:1])
+        before = np.cumprod(np.concatenate([ones, f[:-1]]), axis=0)
+        after = np.cumprod(np.concatenate([ones, f[:0:-1]]), axis=0)[::-1]
+        dfactors = (1.0 - np.abs(zeros) ** 2) / (d * d)
+        derivs[near] = b.lam * (dfactors * before * after).sum(axis=0)
+    return values.reshape(shape), derivs.reshape(shape)
+
+
+def _same_bits(got, want):
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_the_blaschke_evaluator_keeps_the_per_call_bits(degree):
+    rng = np.random.default_rng(2200 + degree)
+    for repeated in (False, True):
+        b = random_blaschke(rng, degree)
+        if repeated and degree >= 2:   # a double zero, for the product rule
+            b = BlaschkeProduct(lam=b.lam, zeros=b.zeros[:-1] + b.zeros[:1])
+        fn = _blaschke_evaluator(b)
+        wide = np.sqrt(rng.uniform(0, 1, 300)) * np.exp(2j * math.pi * rng.uniform(0, 1, 300))
+        # nodes within 1e-12 (1 + |a|) of a zero a take the product rule
+        near = np.array([a + 1e-12 * (1.0 + abs(a)) * scale * cmath.exp(2j * math.pi * turn)
+                         for a in b.zeros for scale in (0.0, 0.3, 0.99)
+                         for turn in rng.uniform(0, 1, 2)], dtype=complex)
+        for z in (wide, near, np.concatenate([wide[:50], near]), wide.reshape(20, 15)):
+            _same_bits(fn(z), _per_call_blaschke_eval(b, z))
+            _same_bits(blaschke_handle(b).fn(z), _per_call_blaschke_eval(b, z))
+        for z in list(wide[:20]) + list(near):
+            _same_bits(fn(np.array([z])), _per_call_blaschke_eval(b, np.array([z])))
+            value, deriv = blaschke_eval(b, z)
+            _same_bits((np.array([value]), np.array([deriv])),
+                       _per_call_blaschke_eval(b, np.array([z])))

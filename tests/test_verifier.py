@@ -12,6 +12,7 @@ from blaschke_lab.gallery import (
     frostman_shift,
     make_atomic_inner,
     make_escape_sequence,
+    make_half_map,
     make_scaled_exponential,
     make_slit_power,
 )
@@ -146,6 +147,25 @@ def test_pipeline_verdict_not_inner():
     verdict = check_theorem_3_1(make_slit_power(2), valence_bound=2)
     assert verdict.verdict == "not-inner"
     assert verdict.boundary_mean < 0.99
+
+
+@pytest.mark.parametrize("a", [0.9, 0.95, 0.99, 0.999, 0.7 + 0.7j, -0.3 - 0.95j])
+def test_pipeline_finds_a_frostman_shift_of_the_half_map_not_inner(a):
+    # |f| <= (|a| + 1/2)/(1 + |a|/2) < 1 on the closed disc, but the mean
+    # test passes from |a| near 0.99 on
+    verdict = check_theorem_3_1(frostman_shift(make_half_map(), a))
+    assert verdict.verdict == "not-inner"
+    if verdict.boundary_mean > verifier.INNER_MEAN_THRESHOLD:
+        assert "is not inner by construction" in verdict.detail
+
+
+def test_pipeline_reports_the_structure_of_a_map_that_passes_the_mean_test(capsys):
+    spec = ('{"type":"gallery","name":"frostman","params":{"base":'
+            '{"type":"gallery","name":"half"},"a":[0.99,0]}}')
+    assert main(["verify", "theorem-3-1", "--candidate", spec]) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert record["verdict"] == "not-inner" and record["boundary_mean"] > 0.99
+    assert record["detail"].startswith("frostman(a=0.99+0j, base=half) is not inner")
 
 
 def test_pipeline_verdict_valence_unbounded():
