@@ -147,8 +147,7 @@ def make_slit_power(k: int = 2) -> DiscMapHandle:
 
     return replace(compose_handles(DiscMapHandle(power, f"u^{k}"), make_slit_map()),
                    descriptor=f"(slit-g)^{k}",
-                   spec={"type": "gallery", "name": "slit-power", "params": {"k": k}},
-                   inner=False)
+                   spec={"type": "gallery", "name": "slit-power", "params": {"k": k}})
 
 
 def power_preimages(w: complex, k: int) -> list:
@@ -217,10 +216,9 @@ def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:
 
     spec = None if base.spec is None else {
         "type": "gallery", "name": "frostman", "params": {"base": base.spec, "a": [a.real, a.imag]}}
-    # the shift is an automorphism, so F_a is inner exactly when f is
-    return replace(compose_handles(DiscMapHandle(shift, f"shift(a={a:.4g})"), base),
-                   descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec,
-                   inner=base.inner)
+    return replace(compose_handles(DiscMapHandle(shift, f"shift(a={a:.4g})", inner=True),
+                                   base),
+                   descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
 
 
 def _check_escape_indices(ns):

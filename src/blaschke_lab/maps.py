@@ -398,9 +398,10 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
     else the package's one chain rule, on ``outer.fn`` unchecked: the result's
     own ``eval_many`` checks the outer values at every interior z.
 
-    The result is inner exactly when outer is, if inner is inner and not
-    constant: its boundary map keeps the null sets of arc length.  An
-    automorphism after inner keeps inner's flag.  Otherwise it is unknown.
+    It is not inner after a map that is not: where inner's boundary values
+    stay in the open disc, so do outer's images of them.  After a non-constant
+    inner map it is inner exactly when outer is: that boundary map keeps the
+    null sets of arc length.  Otherwise it is unknown.
     """
     if _degree(outer) and _degree(inner):
         return blaschke_handle(blaschke_compose(outer.blaschke, inner.blaschke))
@@ -410,8 +411,8 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
         outer_v, outer_d = outer.fn(inner_v)
         return outer_v, outer_d * inner_d
 
-    if _degree(outer) == 1:
-        flag = inner.inner
+    if inner.inner is False:
+        flag = False
     elif inner.inner and _degree(inner) != 0:
         flag = outer.inner
     else:

@@ -167,80 +167,82 @@ def aberth_roots(p: Polynomial) -> RootSet:
     if p.degree < 1:
         raise ValueError("aberth_roots needs degree >= 1")
 
-    coeffs = np.asarray(p.coeffs, dtype=complex)
-    coeff_scale = float(np.max(np.abs(coeffs)))
+    # far iterates can overflow the Horner loop; the residual bound judges them
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.asarray(p.coeffs, dtype=complex)
+        coeff_scale = float(np.max(np.abs(coeffs)))
 
-    # exact deflation of roots at zero
-    k0 = 0
-    while k0 < len(coeffs) - 1 and coeffs[k0] == 0:
-        k0 += 1
-    deflated = coeffs[k0:]
-    n = len(deflated) - 1
+        # exact deflation of roots at zero
+        k0 = 0
+        while k0 < len(coeffs) - 1 and coeffs[k0] == 0:
+            k0 += 1
+        deflated = coeffs[k0:]
+        n = len(deflated) - 1
 
-    iterates = []
-    if n > 0:
-        r0 = abs(deflated[0] / deflated[-1]) ** (1.0 / n)
-        radius = INIT_RADIUS_SCALE * max(r0, INIT_RADIUS_FLOOR)
-        z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE))
-                      for m in range(n)])
-        frozen = np.zeros(n, dtype=bool)
-        abs_coeffs = np.abs(deflated[::-1])
-        v, d = _poly_eval_vec(deflated, z)
-        for _ in range(ABERTH_MAX_ITER):
-            small = np.abs(d) == 0.0
-            if small.any():
-                z[small] += (1 + 1j) * 1e-8 * (1.0 + np.abs(z[small]))
-                v, d = _poly_eval_vec(deflated, z)
-            newton = v / d
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            collide = np.abs(diff) == 0.0
-            if collide.any():
-                diff[collide] = 1e-12 * (1 + 1j)
-            inv = 1.0 / diff
-            np.fill_diagonal(inv, 0.0)
-            repulsion = inv.sum(axis=1)
-            denom = 1.0 - newton * repulsion
-            denom_bad = np.abs(denom) == 0.0
-            if denom_bad.any():
-                denom[denom_bad] = 1.0
-            step = newton / denom
-            active = ~frozen
-            z[active] -= step[active]
+        iterates = []
+        if n > 0:
+            r0 = abs(deflated[0] / deflated[-1]) ** (1.0 / n)
+            radius = INIT_RADIUS_SCALE * max(r0, INIT_RADIUS_FLOOR)
+            z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE))
+                          for m in range(n)])
+            frozen = np.zeros(n, dtype=bool)
+            abs_coeffs = np.abs(deflated[::-1])
             v, d = _poly_eval_vec(deflated, z)
-            # Residual freeze fires at the Horner evaluation noise floor, not
-            # at ABERTH_TOL*scale: multiple roots must get close enough to merge.
-            noise = np.polyval(abs_coeffs, np.abs(z).astype(complex))
-            noise_floor = 4.0 * (n + 1) * EPS * np.abs(noise)
-            frozen |= (np.abs(step) < ABERTH_TOL * (1.0 + np.abs(z))) | \
-                      (np.abs(v) <= np.maximum(noise_floor, 1e-300))
-            if frozen.all():
-                break
-        else:
-            resid = np.abs(_poly_eval_vec(coeffs, z)[0])
-            raise SolverFailure(
-                f"Aberth iteration did not converge in {ABERTH_MAX_ITER} sweeps",
-                best=tuple(z.tolist()), residuals=tuple(resid.tolist()))
-        iterates = list(z)
+            for _ in range(ABERTH_MAX_ITER):
+                small = np.abs(d) == 0.0
+                if small.any():
+                    z[small] += (1 + 1j) * 1e-8 * (1.0 + np.abs(z[small]))
+                    v, d = _poly_eval_vec(deflated, z)
+                newton = v / d
+                diff = z[:, None] - z[None, :]
+                np.fill_diagonal(diff, 1.0)
+                collide = np.abs(diff) == 0.0
+                if collide.any():
+                    diff[collide] = 1e-12 * (1 + 1j)
+                inv = 1.0 / diff
+                np.fill_diagonal(inv, 0.0)
+                repulsion = inv.sum(axis=1)
+                denom = 1.0 - newton * repulsion
+                denom_bad = np.abs(denom) == 0.0
+                if denom_bad.any():
+                    denom[denom_bad] = 1.0
+                step = newton / denom
+                active = ~frozen
+                z[active] -= step[active]
+                v, d = _poly_eval_vec(deflated, z)
+                # Residual freeze fires at the Horner evaluation noise floor, not
+                # at ABERTH_TOL*scale: multiple roots must get close enough to merge.
+                noise = np.polyval(abs_coeffs, np.abs(z).astype(complex))
+                noise_floor = 4.0 * (n + 1) * EPS * np.abs(noise)
+                frozen |= (np.abs(step) < ABERTH_TOL * (1.0 + np.abs(z))) | \
+                          (np.abs(v) <= np.maximum(noise_floor, 1e-300))
+                if frozen.all():
+                    break
+            else:
+                resid = np.abs(_poly_eval_vec(coeffs, z)[0])
+                raise SolverFailure(
+                    f"Aberth iteration did not converge in {ABERTH_MAX_ITER} sweeps",
+                    best=tuple(z.tolist()), residuals=tuple(resid.tolist()))
+            iterates = list(z)
 
-    points = [0j] * k0 + iterates
-    merged = _merge_clusters(points, CLUSTER_RADIUS)
-    roots = tuple(r for r, _ in merged)
-    mults = tuple(m for _, m in merged)
-    values, _ = _poly_eval_vec(coeffs, np.array(roots, dtype=complex))
-    residuals = tuple(abs(v) for v in values.tolist())
+        points = [0j] * k0 + iterates
+        merged = _merge_clusters(points, CLUSTER_RADIUS)
+        roots = tuple(r for r, _ in merged)
+        mults = tuple(m for _, m in merged)
+        values, _ = _poly_eval_vec(coeffs, np.array(roots, dtype=complex))
+        residuals = tuple(abs(v) for v in values.tolist())
 
-    if sum(mults) != p.degree:
-        raise SolverFailure(
-            f"root multiplicities sum to {sum(mults)}, expected {p.degree}",
-            best=roots, residuals=residuals)
-    for r, resid in zip(roots, residuals):
-        bound = ABERTH_TOL * coeff_scale * max(1.0, abs(r)) ** p.degree
-        if resid > max(bound, 64 * EPS * coeff_scale * p.degree * max(1.0, abs(r)) ** p.degree):
+        if sum(mults) != p.degree:
             raise SolverFailure(
-                f"residual {resid:.3e} at root {complex(r)!r} exceeds certified bound",
+                f"root multiplicities sum to {sum(mults)}, expected {p.degree}",
                 best=roots, residuals=residuals)
-    return RootSet(roots, mults, residuals)
+        for r, resid in zip(roots, residuals):
+            bound = ABERTH_TOL * coeff_scale * max(1.0, abs(r)) ** p.degree
+            if resid > max(bound, 64 * EPS * coeff_scale * p.degree * max(1.0, abs(r)) ** p.degree):
+                raise SolverFailure(
+                    f"residual {resid:.3e} at root {complex(r)!r} exceeds certified bound",
+                    best=roots, residuals=residuals)
+        return RootSet(roots, mults, residuals)
 
 
 def derivative_consistency(handle, z: complex, h: float) -> float:

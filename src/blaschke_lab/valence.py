@@ -175,9 +175,11 @@ def _node_error(ts, values, derivs, gap, floors, r):
             f"on |z| = {r!r}")
     mags = np.abs(gap)
     i = int(np.argmax(mags < floors))
+    floor = ("proximity floor" if np.isfinite(floors[i])
+             else "infinite proximity floor of a step too short to split")
     return ContourProximityError(
         f"contour node at t={ts[i]:.6f} has |f-w| = {abs(gap[i]):.3e}, "
-        "below the proximity floor", radius=r,
+        f"below the {floor}", radius=r,
         min_distance=float(np.min(mags)))
 
 
@@ -186,8 +188,9 @@ def _bisect(t, v, speed, sizes):
 
     Returns the number of steps of each contour that the chord or the speed
     test flags, (contour, phase sum) for each contour with none, and the
-    midpoint of every flagged step with the index it is inserted before.
-    The closing step of a contour ends at its first node, t = 0, read as 1.
+    midpoint of every flagged step, the index it goes before and whether it
+    rounds onto an end of its step, which is then too short to split.  The
+    closing step of a contour ends at its first node, t = 0, read as 1.
     """
     ends = sizes.cumsum()
     starts = ends - sizes
@@ -219,17 +222,9 @@ def _bisect(t, v, speed, sizes):
     sums = [(c, float(np.add.reduce(dphi[top - n:top]))) for c, n, top
             in zip(done.tolist(), lengths.tolist(), lengths.cumsum().tolist())]
     idx = bad.nonzero()[0]
-    t_hi = t_next[idx]
-    t_mid = 0.5 * (t[idx] + t_hi)
-    # a midpoint goes after every node of its contour that is <= it, as a
-    # stable argsort of (nodes, midpoints) orders it: that is idx + 1
-    # unless it rounded onto its right end
-    pos = idx + 1
-    for k in (t_mid == t_hi).nonzero()[0]:
-        end = ends[np.searchsorted(ends, idx[k], side="right")]
-        while pos[k] < end and t[pos[k]] <= t_mid[k]:
-            pos[k] += 1
-    return nbad, sums, t_mid, pos
+    t_lo, t_hi = t[idx], t_next[idx]
+    t_mid = 0.5 * (t_lo + t_hi)
+    return nbad, sums, t_mid, idx + 1, (t_mid == t_lo) | (t_mid == t_hi)
 
 
 def _merge(pos, n):
@@ -277,7 +272,7 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
     speed = np.empty(0)
     resolved = resolved_nodes = queued = 0
     while len(ids) or queued < len(rs):
-        nbad, sums, ts, pos = _bisect(t, v, speed, sizes)
+        nbad, sums, ts, pos, unsplit = _bisect(t, v, speed, sizes)
         for c, total in sums:
             out[ids[c]] = _settle(total)
             resolved += 1
@@ -288,7 +283,7 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
                 out[ids[c]] = RefinementOverflowError(
                     f"contour refinement needs more than {MAX_NODES} nodes")
             steps = np.repeat(~over, nbad)
-            ts, pos = ts[steps], pos[steps]
+            ts, pos, unsplit = ts[steps], pos[steps], unsplit[steps]
             nbad[over] = 0
 
         projected = (resolved_nodes / resolved if resolved
@@ -321,6 +316,8 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
         gap = values - target[owner]
         gap_abs = np.abs(gap)
         floors = (np.abs(values) + target_abs[owner]) * PROXIMITY_REL + PROXIMITY_ABS
+        # a step too short to split is a near miss: the midpoints come first
+        floors[:len(unsplit)][unsplit] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             speed_new = np.abs(derivs) * rate[owner] / gap_abs
         flagged = ((gap_abs < floors) | ~np.isfinite(values)
@@ -361,9 +358,9 @@ def winding_number(f, w: complex, r: float, initial_nodes: int = INITIAL_NODES):
     """Winding count of f - w on |z| = r and its distance to an integer.
 
     Raises ContourProximityError when the image curve passes too close to
-    w (the caller should perturb r), RefinementOverflowError when the
-    adaptive subdivision exceeds its node budget and DomainError when f or
-    f' is not finite at a node.
+    w or a flagged step is too short to split (the caller should perturb r),
+    RefinementOverflowError when the adaptive subdivision exceeds its node
+    budget and DomainError when f or f' is not finite at a node.
     """
     w = require_finite(w, "w")
     _check_radii((r,))

@@ -175,6 +175,46 @@ def test_engine_attributes_a_proximity_failure():
     assert [o[0] for i, o in enumerate(batched) if i != 1] == [3, 0, 3]
 
 
+def _capped_rounds(monkeypatch, cap):
+    """Count the ``_bisect`` rounds of later engine runs; a run that takes
+    more than cap rounds fails at once instead of refining for hours."""
+    rounds = []
+    bisect = valence._bisect
+
+    def counting(t, v, speed, sizes):
+        rounds.append(len(t))
+        assert len(rounds) <= cap, f"more than {cap} rounds"
+        return bisect(t, v, speed, sizes)
+
+    monkeypatch.setattr(valence, "_bisect", counting)
+    return rounds
+
+
+def test_a_contour_through_a_zero_is_a_near_miss(monkeypatch):
+    # |z| = 0.5 passes within float resolution of the zero 0.5i, where
+    # |f - w| at w = 0 stays above the floor: the step next to it is flagged
+    # until it is too short to split
+    _capped_rounds(monkeypatch, 100)
+    f = blaschke_handle(BlaschkeProduct(1.0 + 0j, (0.5j,)))
+    with pytest.raises(ContourProximityError, match="infinite proximity floor") as err:
+        winding_number(f, 0, 0.5)
+    assert err.value.radius == 0.5
+
+
+def test_scans_at_w_0_get_the_count_of_zeros_near_dyadic_radii(monkeypatch):
+    # zeros r e^{i pi k/8}, r = 1 - 2^-j, on a radius of the default schedule,
+    # each scan within 100 rounds
+    rounds = _capped_rounds(monkeypatch, 100)
+    for j in range(1, 7):
+        for k in range(16):
+            a = (1.0 - 2.0 ** -j) * np.exp(1j * math.pi * k / 8)
+            f = blaschke_handle(BlaschkeProduct(1.0 + 0j, (complex(round(a.real, 15),
+                                                                    round(a.imag, 15)),)))
+            rounds.clear()
+            report = valence_at(f, 0)
+            assert (report.value, report.stabilized) == (1, True), (j, k)
+
+
 def test_engine_attributes_an_overflow(monkeypatch):
     monkeypatch.setattr(valence, "MAX_NODES", 128)
     atomic = make_atomic_inner()
@@ -196,41 +236,35 @@ def test_engine_attributes_a_whole_batch_pole_error():
     assert [type(o) for o in batched] == [tuple, PoleError, tuple, PoleError]
 
 
-def test_midpoint_rounding_onto_its_right_end_sorts_after_it():
-    # 0.5 * (x + next float) rounds half to even: pick x so that the
-    # midpoint lands on the right end of its step
-    x = 0.1 if 0.5 * (0.1 + np.nextafter(0.1, 1.0)) != 0.1 else np.nextafter(0.1, 1.0)
-    t = np.arange(16) / 16
-    t[1], t[2] = x, np.nextafter(x, 1.0)
-    speed = np.zeros(16)
-    speed[1] = speed[2] = 1e300       # flags the three steps next to nodes 1, 2
-    nbad, _, t_mid, pos = valence._bisect(t, np.exp(2j * np.pi * t), speed,
-                                          np.array([16]))
-    # the rounded midpoint shares its position with the next one
-    assert nbad.tolist() == [3] and t_mid[1] == t[2] and pos[1] == pos[2]
-    merged = valence._merge(pos, 16)
-    stable = np.argsort(np.concatenate([t, t_mid]), kind="stable")
-    assert merged.tolist() == stable.tolist()
+def test_a_step_too_short_to_split_is_unsplit():
+    # nodes 1, 2, 3 are consecutive floats: 0.5 * (x + next float) rounds
+    # half to even, so of the two one-ULP steps between them one has its
+    # midpoint on its left end and the other on its right end
+    x = np.nextafter(1 / 16, 1.0)
+    t = np.sort(np.concatenate([np.arange(16) / 16, [x, np.nextafter(x, 1.0)]]))
+    speed = np.zeros(18)
+    speed[[2, 10]] = 1e300      # flags steps 1, 2 and the plain steps 9, 10
+    nbad, _, t_mid, pos, unsplit = valence._bisect(t, np.exp(2j * np.pi * t), speed,
+                                                   np.array([18]))
+    assert nbad.tolist() == [4] and pos.tolist() == [2, 3, 10, 11]     # idx + 1
+    assert unsplit.tolist() == [True, True, False, False]
+    assert sorted((t_mid[:2] == t[1:3]).tolist()) == [False, True]
+    assert sorted((t_mid[:2] == t[2:4]).tolist()) == [False, True]
 
 
-def test_the_merge_puts_a_rounded_midpoint_and_an_admitted_grid_in_stable_order():
-    # contour 0 has a midpoint that rounds onto its right end; the closing
-    # step of contour 1 is flagged, so its midpoint goes to len(t), the
-    # position of the grid that a newly admitted contour 2 brings
-    x = 0.1 if 0.5 * (0.1 + np.nextafter(0.1, 1.0)) != 0.1 else np.nextafter(0.1, 1.0)
-    t0 = np.arange(16) / 16
-    t0[1], t0[2] = x, np.nextafter(x, 1.0)
-    t1 = np.arange(8) / 8
-    t = np.concatenate([t0, t1])
+def test_the_merge_puts_closing_midpoints_and_a_new_grid_in_stable_order():
+    # the closing step of contour 1 is flagged, so its midpoint goes to
+    # len(t), the position of the grid that a newly admitted contour 2 brings
+    t = np.concatenate([np.arange(16) / 16, np.arange(8) / 8])
     speed = np.zeros(24)
-    speed[1] = speed[2] = speed[23] = 1e300
+    speed[1] = speed[23] = 1e300
     sizes = np.array([16, 8])
-    nbad, _, t_mid, pos = valence._bisect(t, np.exp(2j * np.pi * t), speed, sizes)
-    assert nbad.tolist() == [3, 2] and t_mid[1] == t[2] and pos[-1] == 24
+    nbad, _, t_mid, pos, unsplit = valence._bisect(t, np.exp(2j * np.pi * t), speed, sizes)
+    assert nbad.tolist() == [2, 2] and pos[-1] == 24 and not unsplit.any()
     grid = np.arange(4) / 4
     new_t = np.concatenate([t_mid, grid])
     new_pos = np.concatenate([pos, np.full(4, 24)])
-    contour = np.concatenate([np.repeat([0, 1], sizes), [0, 0, 0, 1, 1], np.full(4, 2)])
+    contour = np.concatenate([np.repeat([0, 1], sizes), [0, 0, 1, 1], np.full(4, 2)])
     stable = np.lexsort((np.concatenate([t, new_t]), contour))
     assert valence._merge(new_pos, 24).tolist() == stable.tolist()
 
@@ -250,7 +284,7 @@ def _merge_checked_against_a_stable_sort(monkeypatch):
         t, sizes, t_mid, mid_pos = last
         grids = len(pos) - len(t_mid)
         assert n == len(t) and pos[:len(t_mid)].tolist() == mid_pos.tolist()
-        assert (np.diff(pos) >= 0).all()
+        assert (np.diff(mid_pos) > 0).all() and (pos[len(t_mid):] == n).all()
         ends = sizes.cumsum()
         contour = np.concatenate([np.repeat(np.arange(len(sizes)), sizes),
                                   ends.searchsorted(mid_pos - 1, side="right"),
@@ -294,9 +328,9 @@ def test_new_contours_follow_the_closing_midpoints_of_the_last_live_one(monkeypa
     bisect, evaluate = valence._bisect, valence._evaluate
 
     def tracking_bisect(t, v, speed, sizes):
-        nbad, sums, t_mid, pos = bisect(t, v, speed, sizes)
-        rounds.append((len(t_mid), bool((pos == len(t)).any())))
-        return nbad, sums, t_mid, pos
+        outcome = bisect(t, v, speed, sizes)
+        rounds.append((len(outcome[2]), bool((outcome[3] == len(t)).any())))
+        return outcome
 
     ties = []
 
@@ -339,24 +373,20 @@ def _four_test_bisect(t, v, speed, sizes):
     nbad = np.add.reduceat(bad, starts, dtype=np.intp)
     sums = [(c, float(np.sum(dphi[starts[c]:ends[c]]))) for c in (nbad == 0).nonzero()[0]]
     idx = bad.nonzero()[0]
-    t_hi = t_next[idx]
-    t_mid = 0.5 * (t[idx] + t_hi)
-    pos = idx + 1
-    for k in (t_mid == t_hi).nonzero()[0]:
-        end = ends[np.searchsorted(ends, idx[k], side="right")]
-        while pos[k] < end and t[pos[k]] <= t_mid[k]:
-            pos[k] += 1
-    return (nbad, sums, t_mid, pos), (int(jump.sum()), int(dip.sum()))
+    t_mid = 0.5 * (t[idx] + t_next[idx])
+    unsplit = (t_mid == t[idx]) | (t_mid == t_next[idx])
+    return (nbad, sums, t_mid, idx + 1, unsplit), (int(jump.sum()), int(dip.sum()))
 
 
 def _agrees_with_four_tests(outcome, t, v, speed, sizes):
     """Assert that ``_bisect``'s outcome flags the steps that the four-test
     rule flags and has its phase-sum bits; returns the jump and dip counts."""
-    (nbad, sums, t_mid, pos), fired = _four_test_bisect(t, v, speed, sizes)
-    got_nbad, got_sums, got_mid, got_pos = outcome
+    (nbad, sums, t_mid, pos, unsplit), fired = _four_test_bisect(t, v, speed, sizes)
+    got_nbad, got_sums, got_mid, got_pos, got_unsplit = outcome
     assert got_nbad.tolist() == nbad.tolist()
     assert [(int(c), x.hex()) for c, x in got_sums] == [(int(c), x.hex()) for c, x in sums]
     assert got_mid.tobytes() == t_mid.tobytes() and got_pos.tolist() == pos.tolist()
+    assert got_unsplit.tolist() == unsplit.tolist()
     return fired
 
 
@@ -413,7 +443,7 @@ def test_midpoint_positions_never_decrease_on_adversarial_steps():
     # the merge puts new node k at pos[k] + k, which needs pos sorted
     t, v, speed, sizes = _adversarial_wave()
     pos = valence._bisect(t, v, speed, sizes)[3]
-    assert len(pos) > 10000 and (np.diff(pos) >= 0).all()
+    assert len(pos) > 10000 and (np.diff(pos) > 0).all()
 
 
 def test_two_step_tests_flag_what_four_did_in_engine_runs(monkeypatch):

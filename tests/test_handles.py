@@ -121,7 +121,7 @@ SHIFT = mobius_handle(MobiusAutomorphism(alpha=0.5 + 0j, lam=1.0 + 0j))
     (SHIFT, make_half_map(), False),         # an automorphism keeps the inner's flag
     (SHIFT, make_atomic_inner(), True),
     (SHIFT, opaque(SQUARE), None),
-    (make_atomic_inner(), make_half_map(), None),
+    (make_atomic_inner(), make_half_map(), False),  # after a non-inner map, not inner
     (make_half_map(), opaque(SQUARE), None),
     (make_half_map(), UNIMODULAR, None),     # after a constant, nothing follows
 ], ids=["blaschke", "inner-outer", "half-outer", "shift-half", "shift-atomic",

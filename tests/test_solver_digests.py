@@ -12,7 +12,9 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
+from blaschke_lab.errors import SolverFailure
 from blaschke_lab.maps import (
     BlaschkeProduct,
     blaschke_compose,
@@ -55,8 +57,7 @@ def _solver_outputs():
     for b in products:
         for w in targets:
             yield _render(blaschke_preimages, b, w)
-        # on these draws the census overflows in the Horner loop from
-        # degree 11, and tier-1 turns that numpy warning into an error
+        # the census of degrees 11 and 12 has its own test below
         if b.degree <= 10:
             yield _render(blaschke_critical_points, b)
     # degrees 2x3, 3x2, 4x4, the repeated zero after degree 2, degree 2 after
@@ -70,3 +71,17 @@ def test_solver_outputs_keep_their_bits():
     for line in _solver_outputs():
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == DIGEST
+
+
+def test_the_census_at_degrees_11_and_12_raises_no_numpy_warning():
+    # the Horner loop overflows on far iterates of these numerators, and
+    # tier-1 turns a numpy warning into an error
+    products, _ = _products()
+    census = blaschke_critical_points(products[10])
+    zeros = np.array(products[10].zeros)[:, None]
+    c = np.array(census.roots)
+    # B'/B = sum (1 - |a|^2) / ((z - a)(1 - conj(a) z)) vanishes at each c
+    secular = ((1.0 - np.abs(zeros) ** 2) / ((c - zeros) * (1.0 - zeros.conj() * c))).sum(axis=0)
+    assert census.total_multiplicity == 10 and np.abs(secular).max() < 1e-12
+    with pytest.raises(SolverFailure):
+        blaschke_critical_points(products[11])
