@@ -25,6 +25,7 @@ from .errors import (
 from .numerics import (
     Polynomial,
     RootSet,
+    _aberth_stack,
     _convolve,
     aberth_roots,
     poly_from_roots,
@@ -223,28 +224,35 @@ def blaschke_preimages(b: BlaschkeProduct, w: complex) -> RootSet:
         raise ValueError(f"target must satisfy |w| < 1, got {abs(w)!r}")
     if b.degree < 1:
         raise ValueError("preimages need degree >= 1")
-    return _preimages(b, _blaschke_polynomial_pair(b), w)
+    return _preimages(b, [w])[0]
 
 
-def _preimages(b: BlaschkeProduct, pair, w: complex) -> RootSet:
-    """Solve and check B(z) = w for a validated w, given B's (num, den) pair."""
-    num, den = pair
-    target = poly_sub(num, poly_mul(Polynomial((w,)), den))
-    if target.degree != b.degree:
-        raise InternalConsistencyError(
-            f"preimage polynomial degree {target.degree} != {b.degree}")
-    rootset = aberth_roots(target)
-    values, _ = _blaschke_evaluator(b)(np.array(rootset.roots))
-    for root, value in zip(rootset.roots, values.tolist()):
-        if abs(root) > 1.0 + ROOT_ANNULUS:
+def _preimages(b: BlaschkeProduct, targets) -> list:
+    """Solve and check B(z) = w for each validated w of ``targets``; raise
+    the error of the first that fails.  ``aberth_roots`` solves a single
+    target and each deflating one; the rest share one stack of sweeps."""
+    num, den = _blaschke_polynomial_pair(b)
+    polys = [poly_sub(num, poly_mul(Polynomial((w,)), den)) for w in targets]
+    shared = [len(polys) > 1 and p.degree == b.degree and p.coeffs[0] != 0 for p in polys]
+    solved = _aberth_stack([p for p, s in zip(polys, shared) if s])
+    out = []
+    for w, target, in_stack in zip(targets, polys, shared):
+        if target.degree != b.degree:
             raise InternalConsistencyError(
-                f"preimage root {complex(root)!r} outside the closed disc: solver bug",
-                payload=rootset)
-        if abs(value - w) > PREIMAGE_RESIDUAL_TOL:
-            raise InternalConsistencyError(
-                f"preimage residual |B(root) - w| = {abs(value - w):.3e} "
-                f"exceeds {PREIMAGE_RESIDUAL_TOL}", payload=rootset)
-    return _classify_roots(rootset, "blaschke_preimages")
+                f"preimage polynomial degree {target.degree} != {b.degree}")
+        rootset = next(solved) if in_stack else aberth_roots(target)
+        values, _ = _blaschke_evaluator(b)(np.array(rootset.roots))
+        for root, value in zip(rootset.roots, values.tolist()):
+            if abs(root) > 1.0 + ROOT_ANNULUS:
+                raise InternalConsistencyError(
+                    f"preimage root {complex(root)!r} outside the closed disc: solver bug",
+                    payload=rootset)
+            if abs(value - w) > PREIMAGE_RESIDUAL_TOL:
+                raise InternalConsistencyError(
+                    f"preimage residual |B(root) - w| = {abs(value - w):.3e} "
+                    f"exceeds {PREIMAGE_RESIDUAL_TOL}", payload=rootset)
+        out.append(_classify_roots(rootset, "blaschke_preimages"))
+    return out
 
 
 def blaschke_critical_points(b: BlaschkeProduct) -> RootSet:
@@ -279,15 +287,16 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> Blaschke
     """Structural composition outer(inner(z)) as a Blaschke product.
 
     Zeros are the inner-preimages of the outer zeros, so the degree is the
-    product of the degrees.  The unimodular constant is recovered at a fixed
-    probe point and renormalised onto the unit circle.
+    product of the degrees.  The preimage polynomials of all outer zeros are
+    solved in one stack of Aberth sweeps; the zeros, and the error of the
+    first outer zero that fails, are those of one ``blaschke_preimages`` call
+    per outer zero.  The unimodular constant is recovered at a fixed probe
+    point and renormalised onto the unit circle.
     """
     if outer.degree < 1 or inner.degree < 1:
         raise ValueError("composition needs both degrees >= 1")
-    pair = _blaschke_polynomial_pair(inner)
     zeros = []
-    for a in outer.zeros:
-        pre = _preimages(inner, pair, a)
+    for pre in _preimages(inner, outer.zeros):
         for root, mult in zip(pre.roots, pre.multiplicities):
             zeros.extend([root] * mult)
     candidate = BlaschkeProduct(lam=1.0 + 0j, zeros=tuple(zeros))

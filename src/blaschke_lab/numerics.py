@@ -8,6 +8,7 @@ initialisation; nearby iterates are merged into multiple roots.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,18 +114,34 @@ def poly_sub(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def poly_eval(p: Polynomial, z: complex):
     """Horner value and first derivative at z, simultaneously."""
-    v, d = _poly_eval_vec(np.asarray(p.coeffs, dtype=complex),
-                          np.array([require_finite(z, "z")]))
-    return complex(v[0]), complex(d[0])
+    v, d, _ = _horner(_horner_terms(np.array([p.coeffs], dtype=complex)),
+                      np.array([[require_finite(z, "z")]]))
+    return complex(v[0, 0]), complex(d[0, 0])
 
 
-def _poly_eval_vec(coeffs: np.ndarray, z: np.ndarray):
-    v = np.zeros_like(z)
-    d = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        d = d * z + v
-        v = v * z + c
-    return v, d
+def _horner_terms(coeffs: np.ndarray) -> np.ndarray:
+    """The (c_j, |c_j|) pairs of the rows of ``coeffs`` (k, m; low to high),
+    leading coefficient first: the (m, 2, k, 1) table ``_horner`` steps through."""
+    flipped = coeffs.T[::-1, :, None]
+    return np.array((flipped, np.abs(flipped)), dtype=complex).swapaxes(0, 1)
+
+
+def _horner(terms: np.ndarray, z: np.ndarray):
+    """Value, derivative and noise polynomial sum |c_j| |z|^j of each row of
+    polynomials in ``terms`` at its row of points ``z`` (k, n), in one pass.
+
+    The noise polynomial stays a complex Horner on |z| + 0j: where it
+    overflows, inf * 0j turns it into nan, so no root freezes on it.
+    """
+    scale = np.array((z, z, np.abs(z)), dtype=complex)
+    # two (derivative, value, noise) states; each step writes the other one
+    a, b = np.zeros((2,) + scale.shape, dtype=complex)
+    steps = itertools.cycle(((a, a[1], b, b[0], b[1:]), (b, b[1], a, a[0], a[1:])))
+    for c, (old, old_value, new, new_deriv, new_rest) in zip(terms, steps):
+        np.multiply(old, scale, out=new)
+        new_deriv += old_value
+        new_rest += c
+    return new[1], new[0], new[2]
 
 
 def _merge_clusters(points, cluster_radius):
@@ -157,88 +174,119 @@ def _merge_clusters(points, cluster_radius):
 def aberth_roots(p: Polynomial) -> RootSet:
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
-    Roots at the origin are deflated exactly before iterating.  Iterates
-    closer than the cluster radius are merged into one root with summed
-    multiplicity.  A sweep makes one Horner pass for value and derivative,
-    which the next sweep steps from, and one value-only pass for the noise
-    floor.  Raises SolverFailure (carrying the best iterate and residuals)
-    if the iteration does not settle within ABERTH_MAX_ITER sweeps.
+    Roots at the origin are deflated exactly; the rest is a one-row stack
+    of ``_aberth_sweeps``.  Iterates closer than the cluster radius are
+    merged into one root with summed multiplicity.  Raises SolverFailure
+    (carrying the best iterate and residuals) if the iteration does not
+    settle within ABERTH_MAX_ITER sweeps or a root fails its certificate.
     """
     if p.degree < 1:
         raise ValueError("aberth_roots needs degree >= 1")
+    k0 = next(k for k, c in enumerate(p.coeffs) if c != 0)
+    if k0 == p.degree:
+        return _root_set(p, np.zeros(0, dtype=complex), True)
+    z, settled = _aberth_sweeps(np.array([p.coeffs[k0:]], dtype=complex))
+    return _root_set(p, z[0], settled[0])
 
-    # far iterates can overflow the Horner loop; the residual bound judges them
+
+def _aberth_stack(polys):
+    """Yield ``aberth_roots(p)`` for each p of ``polys`` in turn (raising its
+    SolverFailure there), from one stack of sweeps over all of them.  The
+    polynomials share a degree and have nonzero constant coefficients."""
+    z, settled = _aberth_sweeps(np.array([p.coeffs for p in polys], dtype=complex))
+    for p, iterates, ok in zip(polys, z, settled):
+        yield _root_set(p, iterates, ok)
+
+
+def _aberth_sweeps(coeffs: np.ndarray):
+    """Aberth-Ehrlich sweeps over the rows of ``coeffs`` (k, n + 1; low to
+    high, nonzero constant and leading coefficients): the iterates (k, n)
+    and, per row, whether they all froze within ABERTH_MAX_ITER sweeps.
+    Each row keeps the bits of its own one-row solve: every operation is
+    elementwise, the repulsion sums run along the last axis, and a row whose
+    iterates have all frozen takes no more steps or nudges."""
+    k, n = coeffs.shape[0], coeffs.shape[1] - 1
+    # far iterates overflow the Horner pass (their certificate judges them),
+    # and a finished row may divide by a zero derivative it no longer uses
+    with np.errstate(all="ignore"):
+        units = [cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE)) for m in range(n)]
+        radii = [INIT_RADIUS_SCALE * max(abs(c[0] / c[-1]) ** (1.0 / n), INIT_RADIUS_FLOOR)
+                 for c in coeffs]
+        z = np.array([[radius * u for u in units] for radius in radii], dtype=complex)
+        frozen = np.zeros((k, n), dtype=bool)
+        done = np.zeros(k, dtype=bool)
+        terms = _horner_terms(coeffs)
+        v, d, _ = _horner(terms, z)
+        for _ in range(ABERTH_MAX_ITER):
+            # np.count_nonzero is the cheapest test of a boolean array
+            small = d == 0.0
+            if np.count_nonzero(small):
+                small[done] = False
+                z[small] += (1 + 1j) * 1e-8 * (1.0 + np.abs(z[small]))
+                v, d, _ = _horner(terms, z)
+            newton = v / d
+            diff = z[:, :, None] - z[:, None, :]
+            diagonal = diff.reshape(k, -1)[:, ::n + 1]
+            diagonal[:] = 1.0
+            collide = diff == 0.0
+            if np.count_nonzero(collide):
+                diff[collide] = 1e-12 * (1 + 1j)
+            inv = np.divide(1.0, diff, out=diff)
+            diagonal[:] = 0.0
+            repulsion = inv.sum(axis=2)
+            denom = 1.0 - newton * repulsion
+            denom_bad = denom == 0.0
+            if np.count_nonzero(denom_bad):
+                denom[denom_bad] = 1.0
+            step = newton / denom
+            np.subtract(z, step, out=z, where=~frozen)
+            v, d, noise = _horner(terms, z)
+            # Residual freeze fires at the Horner evaluation noise floor, not
+            # at ABERTH_TOL*scale: multiple roots must get close enough to merge.
+            noise_floor = 4.0 * (n + 1) * EPS * np.abs(noise)
+            frozen |= (np.abs(step) < ABERTH_TOL * (1.0 + np.abs(z))) | \
+                      (np.abs(v) <= np.maximum(noise_floor, 1e-300))
+            done = frozen.all(axis=1)
+            if np.count_nonzero(done) == k:
+                break
+        return z, done
+
+
+def _root_set(p: Polynomial, iterates: np.ndarray, settled: bool) -> RootSet:
+    """The roots of p from the iterates of its deflated polynomial: merged
+    into clusters, with residuals |p(root)|, each root certified.
+
+    A root with |r| > 1 is judged on the reversed polynomial at 1/r, whose
+    residual |p(r)| / |r|^n does not overflow where |p(r)| does; a root or
+    judged residual that is not finite fails.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.asarray(p.coeffs, dtype=complex)
-        coeff_scale = float(np.max(np.abs(coeffs)))
-
-        # exact deflation of roots at zero
-        k0 = 0
-        while k0 < len(coeffs) - 1 and coeffs[k0] == 0:
-            k0 += 1
-        deflated = coeffs[k0:]
-        n = len(deflated) - 1
-
-        iterates = []
-        if n > 0:
-            r0 = abs(deflated[0] / deflated[-1]) ** (1.0 / n)
-            radius = INIT_RADIUS_SCALE * max(r0, INIT_RADIUS_FLOOR)
-            z = np.array([radius * cmath.exp(1j * (2 * math.pi * m / n + INIT_PHASE))
-                          for m in range(n)])
-            frozen = np.zeros(n, dtype=bool)
-            abs_coeffs = np.abs(deflated[::-1])
-            v, d = _poly_eval_vec(deflated, z)
-            for _ in range(ABERTH_MAX_ITER):
-                small = np.abs(d) == 0.0
-                if small.any():
-                    z[small] += (1 + 1j) * 1e-8 * (1.0 + np.abs(z[small]))
-                    v, d = _poly_eval_vec(deflated, z)
-                newton = v / d
-                diff = z[:, None] - z[None, :]
-                np.fill_diagonal(diff, 1.0)
-                collide = np.abs(diff) == 0.0
-                if collide.any():
-                    diff[collide] = 1e-12 * (1 + 1j)
-                inv = 1.0 / diff
-                np.fill_diagonal(inv, 0.0)
-                repulsion = inv.sum(axis=1)
-                denom = 1.0 - newton * repulsion
-                denom_bad = np.abs(denom) == 0.0
-                if denom_bad.any():
-                    denom[denom_bad] = 1.0
-                step = newton / denom
-                active = ~frozen
-                z[active] -= step[active]
-                v, d = _poly_eval_vec(deflated, z)
-                # Residual freeze fires at the Horner evaluation noise floor, not
-                # at ABERTH_TOL*scale: multiple roots must get close enough to merge.
-                noise = np.polyval(abs_coeffs, np.abs(z).astype(complex))
-                noise_floor = 4.0 * (n + 1) * EPS * np.abs(noise)
-                frozen |= (np.abs(step) < ABERTH_TOL * (1.0 + np.abs(z))) | \
-                          (np.abs(v) <= np.maximum(noise_floor, 1e-300))
-                if frozen.all():
-                    break
-            else:
-                resid = np.abs(_poly_eval_vec(coeffs, z)[0])
-                raise SolverFailure(
-                    f"Aberth iteration did not converge in {ABERTH_MAX_ITER} sweeps",
-                    best=tuple(z.tolist()), residuals=tuple(resid.tolist()))
-            iterates = list(z)
-
-        points = [0j] * k0 + iterates
+        coeffs = np.array([p.coeffs], dtype=complex)
+        if not settled:
+            resid = np.abs(_horner(_horner_terms(coeffs), iterates[None])[0][0])
+            raise SolverFailure(
+                f"Aberth iteration did not converge in {ABERTH_MAX_ITER} sweeps",
+                best=tuple(iterates.tolist()), residuals=tuple(resid.tolist()))
+        points = [0j] * (p.degree - len(iterates)) + list(iterates)
         merged = _merge_clusters(points, CLUSTER_RADIUS)
         roots = tuple(r for r, _ in merged)
         mults = tuple(m for _, m in merged)
-        values, _ = _poly_eval_vec(coeffs, np.array(roots, dtype=complex))
+        at = np.array(roots, dtype=complex)
+        values = _horner(_horner_terms(coeffs), at[None])[0][0]
         residuals = tuple(abs(v) for v in values.tolist())
 
         if sum(mults) != p.degree:
             raise SolverFailure(
                 f"root multiplicities sum to {sum(mults)}, expected {p.degree}",
                 best=roots, residuals=residuals)
-        for r, resid in zip(roots, residuals):
-            bound = ABERTH_TOL * coeff_scale * max(1.0, abs(r)) ** p.degree
-            if resid > max(bound, 64 * EPS * coeff_scale * p.degree * max(1.0, abs(r)) ** p.degree):
+        judged = np.array(residuals)
+        far = np.abs(at) > 1.0
+        if far.any():
+            judged[far] = np.abs(_horner(_horner_terms(coeffs[:, ::-1]), 1.0 / at[None, far])[0][0])
+        coeff_scale = float(np.max(np.abs(coeffs)))
+        bound = max(ABERTH_TOL * coeff_scale, 64 * EPS * coeff_scale * p.degree)
+        for r, resid, err in zip(roots, residuals, judged.tolist()):
+            if not (cmath.isfinite(r) and err <= bound):
                 raise SolverFailure(
                     f"residual {resid:.3e} at root {complex(r)!r} exceeds certified bound",
                     best=roots, residuals=residuals)

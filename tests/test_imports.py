@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every
 module-level private name and UPPER_CASE constant is read somewhere in the
 package, the one chain rule of the package is the only map evaluation
-inside a handle, and only the CLI reads a clock.
+inside a handle, only the CLI reads a clock, and one function iterates
+Aberth sweeps, with no ``np.polyval`` anywhere.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -67,15 +68,18 @@ def test_only_the_cli_reads_a_clock():
     assert set(clocked) <= {"cli.py"}
 
 
+def top_functions(tree) -> list:
+    """The module-level functions and the methods of module-level classes."""
+    tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    return tops + [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+
+
 def nested_eval_many_calls(source: str) -> list:
     """The module-level function (or method) around each ``.eval_many`` call
     made inside a function nested in it, such as the ``fn`` of a handle."""
-    tree = ast.parse(source)
-    tops = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    tops += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
-             for node in cls.body if isinstance(node, ast.FunctionDef)]
     found = []
-    for top in tops:
+    for top in top_functions(ast.parse(source)):
         nested = [node for node in ast.walk(top)
                   if node is not top and isinstance(node, (ast.FunctionDef, ast.Lambda))]
         calls = {call for fn in nested for call in ast.walk(fn)
@@ -98,6 +102,43 @@ def test_the_only_evaluation_inside_a_handle_is_the_chain_rule():
     calls = [f"{module}:{name}" for module in MODULES
              for name in nested_eval_many_calls((PACKAGE / module).read_text())]
     assert calls == ["maps.py:compose_handles"]
+
+
+def reads(node, name: str) -> bool:
+    """Whether the expression or statement ``node`` reads ``name``, bare or
+    as an attribute, or imports it."""
+    return any(isinstance(sub, ast.Name) and sub.id == name
+               or isinstance(sub, ast.Attribute) and sub.attr == name
+               or isinstance(sub, ast.alias) and sub.name.split(".")[-1] == name
+               for sub in ast.walk(node))
+
+
+def sweep_loops(source: str) -> list:
+    """The function (or method) around each loop whose iterable or condition
+    reads ``ABERTH_MAX_ITER``: a loop of Aberth sweeps."""
+    return sorted(top.name for top in top_functions(ast.parse(source))
+                  for loop in ast.walk(top)
+                  if isinstance(loop, ast.For) and reads(loop.iter, "ABERTH_MAX_ITER")
+                  or isinstance(loop, ast.While) and reads(loop.test, "ABERTH_MAX_ITER"))
+
+
+def test_the_checks_see_a_sweep_loop_and_polyval():
+    source = ("from .numerics import ABERTH_MAX_ITER as CAP\nimport numpy as np\n"
+              "def solve(p):\n    for _ in range(numerics.ABERTH_MAX_ITER):\n        pass\n"
+              "class S:\n    def run(self, it=0):\n        while it < ABERTH_MAX_ITER:\n"
+              "            it += 1\n        return np.polyval([1], 0), range(CAP)\n")
+    assert sweep_loops(source) == ["run", "solve"]
+    assert reads(ast.parse(source), "polyval")
+    assert not reads(ast.parse("from numpy import polyfit\n"), "polyval")
+
+
+def test_one_function_iterates_aberth_sweeps_and_none_calls_polyval():
+    # one root-solver path: single solves and compose stacks share it
+    loops = [f"{module}:{name}" for module in MODULES
+             for name in sweep_loops((PACKAGE / module).read_text())]
+    assert loops == ["numerics.py:_aberth_sweeps"]
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if reads(ast.parse(path.read_text()), "polyval")] == []
 
 
 def unread_private_names(sources: dict) -> list:
