@@ -235,13 +235,14 @@ def _preimages(b: BlaschkeProduct, targets) -> list:
     polys = [poly_sub(num, poly_mul(Polynomial((w,)), den)) for w in targets]
     shared = [len(polys) > 1 and p.degree == b.degree and p.coeffs[0] != 0 for p in polys]
     solved = _aberth_stack([p for p, s in zip(polys, shared) if s])
+    evaluate = _blaschke_evaluator(b)
     out = []
     for w, target, in_stack in zip(targets, polys, shared):
         if target.degree != b.degree:
             raise InternalConsistencyError(
                 f"preimage polynomial degree {target.degree} != {b.degree}")
         rootset = next(solved) if in_stack else aberth_roots(target)
-        values, _ = _blaschke_evaluator(b)(np.array(rootset.roots))
+        values, _ = evaluate(np.array(rootset.roots))
         for root, value in zip(rootset.roots, values.tolist()):
             if abs(root) > 1.0 + ROOT_ANNULUS:
                 raise InternalConsistencyError(

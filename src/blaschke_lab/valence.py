@@ -141,20 +141,22 @@ def _evaluate(f, z, sizes):
     """
     wide = (sizes > 1).nonzero()[0]
     alone = (sizes == 1).nonzero()[0]
-    shared = np.repeat(sizes > 1, sizes) if len(alone) else slice(None)
-    values = np.zeros(len(z), dtype=complex)
-    derivs = np.zeros(len(z), dtype=complex)
     errors = {}
+    wide_out = None
     if len(wide):
         try:
             if not len(alone):
                 return (*f.eval_many(z), errors)
-            values[shared], derivs[shared] = f.eval_many(z[shared])
+            shared = np.repeat(sizes > 1, sizes)
+            wide_out = f.eval_many(z[shared])
         except Exception as err:
             if len(wide) == 1:
                 errors[wide[0]] = err
             else:
                 alone = np.arange(len(sizes))
+    values, derivs = np.zeros((2, len(z)), dtype=complex)
+    if wide_out is not None:
+        values[shared], derivs[shared] = wide_out
     ends = sizes.cumsum()
     for b in alone:
         part = slice(ends[b] - sizes[b], ends[b])
@@ -406,28 +408,17 @@ def _ladders(f, ws, rs, deltas) -> list:
     return out
 
 
-def valence_at(f, w: complex, schedule=None) -> ValenceReport:
-    """Valence report for f at w over an increasing radius schedule.
+def _attempt(fn, *args):
+    """``fn(*args)``, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return err
 
-    Contour-proximity failures perturb the radius by +-1e-4 * 2^-j (up to
-    five jitters).  The scan stops early once ``STOP_RUN`` consecutive
-    counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
-    the centre proves nothing because preimages may still hide outside.
-    ``stabilized`` is true exactly when this stop rule fired.
 
-    The ladders of every radius up to the first one at which the stop rule
-    can fire climb together; each later radius gets its ladder when the
-    scan reaches it.
-    """
-    w = require_finite(w, "w")
-    radii = default_schedule() if schedule is None else tuple(schedule)
-    _check_radii(radii)
-    deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
-    # the stop rule can fire first STOP_RUN - 1 radii after the first radius
-    # at or beyond STOP_MIN_RADIUS
-    first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
-                         if r >= STOP_MIN_RADIUS), len(radii))]
-    rungs = _ladders(f, [w] * len(first), first, deltas)
+def _report(f, w, radii, deltas, rungs) -> ValenceReport:
+    """The scan of one target, given the ladders of its first radii; each
+    later radius gets its ladder when the walk reaches it."""
     counts, used, residuals = [], [], []
     failed_radius, stabilized = None, False
     for j, r in enumerate(radii):
@@ -449,6 +440,52 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
         w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
         stabilized=stabilized, value=counts[-1] if counts else 0,
         failed_radius=failed_radius)
+
+
+def _valences(f, ws, schedule=None) -> list:
+    """For each target of ``ws``, the report ``valence_at(f, w, schedule)``
+    returns or the exception it raises; a bad schedule raises for the call.
+    The first-wave ladders of all targets climb in one ``_ladders`` call,
+    then each target finishes its own scan."""
+    targets = [_attempt(require_finite, w, "w") for w in ws]
+    live = [w for w in targets if not isinstance(w, Exception)]
+    radii = default_schedule() if schedule is None else tuple(schedule)
+    if live:
+        _check_radii(radii)
+    deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
+    # the stop rule can fire first STOP_RUN - 1 radii after the first radius
+    # at or beyond STOP_MIN_RADIUS
+    first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
+                         if r >= STOP_MIN_RADIUS), len(radii))]
+    rungs = iter(_ladders(f, [w for w in live for _ in first], first * len(live),
+                          deltas[:len(first)] * len(live)))
+    return [w if isinstance(w, Exception)
+            else _attempt(_report, f, w, radii, deltas, [next(rungs) for _ in first])
+            for w in targets]
+
+
+def _scan(f, ws):
+    """Yield ``(w, outcome)`` for each target of ``ws`` in order, from
+    ``_valences`` on chunks of 1, 2, 4, ... targets: a consumer that stops
+    at target i has had at most 2i + 1 of them computed."""
+    start = 0
+    while start < len(ws):
+        chunk = ws[start:2 * start + 1]
+        yield from zip(chunk, _valences(f, chunk))
+        start = 2 * start + 1
+
+
+def valence_at(f, w: complex, schedule=None) -> ValenceReport:
+    """Valence report for f at w over an increasing radius schedule.
+
+    Contour-proximity failures perturb the radius by +-1e-4 * 2^-j (up to
+    five jitters).  The scan stops early once ``STOP_RUN`` consecutive
+    counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
+    the centre proves nothing because preimages may still hide outside.
+    ``stabilized`` is true exactly when this stop rule fired.  This is the
+    one-target case of ``_valences``.
+    """
+    return _unwrap(_valences(f, [w], schedule)[0])
 
 
 def valence_profile(f, w: complex, radii) -> list:

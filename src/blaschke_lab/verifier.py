@@ -41,7 +41,8 @@ from .maps import (
     mobius_recover,
     sunflower_grid,
 )
-from .valence import default_schedule, valence_at, valence_heatmap, valence_profile
+from .valence import (_scan, _unwrap, default_schedule, valence_at, valence_heatmap,
+                      valence_profile)
 
 INNER_MEAN_THRESHOLD = 0.99
 INNER_PROBE_RADIUS = 1.0 - 1e-6
@@ -312,13 +313,13 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
             detail=f"{candidate.descriptor} is not inner by construction, "
                    f"though its mean boundary modulus is {mean:.4f}")
 
-    for w in sunflower_grid(100, 0.9):
-        try:
-            report = valence_at(candidate, complex(w))
-        except BlaschkeLabError as err:
+    # the first failing target decides; _scan computes none past its chunk
+    for w, outcome in _scan(candidate, list(sunflower_grid(100, 0.9))):
+        if isinstance(outcome, BlaschkeLabError):
             return PipelineVerdict(
                 verdict="valence-unbounded", boundary_mean=mean,
-                detail=f"valence scan failed at w={w:.4f}: {err}")
+                detail=f"valence scan failed at w={w:.4f}: {outcome}")
+        report = _unwrap(outcome)
         if not report.stabilized or report.value > valence_bound:
             probe, _ = candidate.eval(0.0)
             profile = tuple(valence_profile(candidate, probe, (0.9, 0.99, 0.999)))
@@ -423,8 +424,9 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
                   "floor": floor_k, "ok": floor > floor_k})
 
     record = {"case": 5, "kind": "valence-bound", "samples": n_valence}
+    ws = [_sample_disc(rng, 0.9) for _ in range(n_valence)]
     try:
-        values = [valence_at(f, _sample_disc(rng, 0.9)).value for _ in range(n_valence)]
+        values = [_unwrap(outcome).value for _, outcome in _scan(f, ws)]
         record.update({"max_valence": max(values, default=0),
                        "ok": all(v <= k for v in values)})
     except BlaschkeLabError as err:

@@ -2,9 +2,10 @@
 
 ``valence._wind`` refines many contours per ``eval_many`` call, and
 ``valence._ladders`` climbs many jitter ladders together.  These tests
-compare one multi-contour call with one-contour calls, and the batched
+compare one multi-contour call with one-contour calls, the batched
 ``valence_at`` / ``valence_heatmap`` with the one-contour-at-a-time scans
-they replaced, kept here as references.
+they replaced, and the scans of many targets that share waves
+(``valence._valences``) with one-target scans, kept here as references.
 """
 
 import math
@@ -24,9 +25,21 @@ from blaschke_lab.errors import (
     PoleError,
     RefinementOverflowError,
 )
-from blaschke_lab.gallery import frostman_shift, make_atomic_inner, make_slit_power
-from blaschke_lab.maps import BlaschkeProduct, DiscMapHandle, blaschke_handle
+from blaschke_lab.gallery import (
+    frostman_shift,
+    make_atomic_inner,
+    make_scaled_exponential,
+    make_slit_power,
+)
+from blaschke_lab.maps import (
+    BlaschkeProduct,
+    DiscMapHandle,
+    MobiusAutomorphism,
+    blaschke_handle,
+    mobius_handle,
+)
 from blaschke_lab.mapspec import parse_map_spec
+from blaschke_lab.numerics import require_finite
 from blaschke_lab.valence import (
     ERROR_MARK,
     OUTSIDE_MARK,
@@ -62,6 +75,8 @@ PINNED = blaschke_handle(BlaschkeProduct(
 PINNED_W = complex(-0.2780511454515483, 0.7104977423985515)
 PINNED_R = 0.998046875
 PINNED_OUTCOME = (4, 1.3322676295501878e-15)
+
+MOBIUS = mobius_handle(MobiusAutomorphism(alpha=0.36 + 0.48j, lam=1.0 + 0j))
 
 
 def _same(batched, alone):
@@ -570,18 +585,22 @@ def _outcome(scan, *args):
         return err
 
 
-def _same_report(f, w, schedule=None):
-    """valence_at and the reference give equal reports, or the same error."""
-    batched = _outcome(valence_at, f, w, schedule)
-    alone = _outcome(_reference_valence, f, w, schedule)
+def _assert_same_report(batched, alone):
+    """Equal reports, residual bits included, or the same error."""
     if isinstance(alone, Exception):
         assert type(batched) is type(alone)
         assert str(batched) == str(alone)
-        return batched
+        return
     assert (batched.radii, batched.counts, batched.stabilized, batched.value,
             batched.failed_radius) == (alone.radii, alone.counts, alone.stabilized,
                                        alone.value, alone.failed_radius)
     assert [x.hex() for x in batched.residuals] == [x.hex() for x in alone.residuals]
+
+
+def _same_report(f, w, schedule=None):
+    """valence_at and the reference give equal reports, or the same error."""
+    batched = _outcome(valence_at, f, w, schedule)
+    _assert_same_report(batched, _outcome(_reference_valence, f, w, schedule))
     return batched
 
 
@@ -606,6 +625,139 @@ def test_valence_at_matches_the_one_contour_scan_on_failures(monkeypatch):
     assert _same_report(atomic, target, (0.9, 0.99, 0.999)).radii == (0.9, 0.99, 0.999)
     monkeypatch.setattr(valence, "MAX_NODES", 128)
     assert isinstance(_same_report(atomic, target), RefinementOverflowError)
+
+
+def _per_target_valence(f, w, schedule=None):
+    """valence_at before the targets of a scan shared waves: the ladders of
+    one target's first radii climb in one ``_ladders`` call, and each later
+    radius gets its own ladder when the scan reaches it."""
+    w = require_finite(w, "w")
+    radii = default_schedule() if schedule is None else tuple(schedule)
+    valence._check_radii(radii)
+    deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
+    first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
+                         if r >= STOP_MIN_RADIUS), len(radii))]
+    rungs = valence._ladders(f, [w] * len(first), first, deltas)
+    counts, used, residuals = [], [], []
+    failed_radius, stabilized = None, False
+    for j, r in enumerate(radii):
+        if j == len(rungs):
+            rungs += valence._ladders(f, [w], [r], [deltas[j]])
+        radius, outcome = rungs[j]
+        if outcome is None:
+            failed_radius = r
+            break
+        count, residual = valence._unwrap(outcome)
+        counts.append(count)
+        used.append(radius)
+        residuals.append(residual)
+        if (len(counts) >= STOP_RUN and len(set(counts[-STOP_RUN:])) == 1
+                and all(x >= STOP_MIN_RADIUS for x in used[-STOP_RUN:])):
+            stabilized = True
+            break
+    return ValenceReport(
+        w=w, radii=tuple(used), counts=tuple(counts), residuals=tuple(residuals),
+        stabilized=stabilized, value=counts[-1] if counts else 0,
+        failed_radius=failed_radius)
+
+
+def _valences_match_per_target_scans(f, ws, schedule=None):
+    outcomes = valence._valences(f, ws, schedule)
+    assert len(outcomes) == len(ws)
+    for w, batched in zip(ws, outcomes):
+        _assert_same_report(batched, _outcome(_per_target_valence, f, w, schedule))
+    return outcomes
+
+
+def _seeded_targets(seed, count, radius=0.9):
+    rng = np.random.default_rng(seed)
+    return [complex(radius * math.sqrt(rng.uniform()) * np.exp(2j * math.pi * rng.uniform()))
+            for _ in range(count)]
+
+
+def _conjugate():
+    """z -> conj(z): not holomorphic, so a contour around w winds -1 times."""
+    return DiscMapHandle(lambda z: (np.conj(z), np.ones_like(z)), "conjugate")
+
+
+@pytest.mark.parametrize("make, ws, schedule", [
+    (lambda: blaschke_handle(_random_blaschke(np.random.default_rng(11))),
+     _seeded_targets(12, 12), None),
+    (lambda: MOBIUS, _seeded_targets(13, 12), None),
+    (lambda: make_slit_power(2), _seeded_targets(14, 12), None),
+    (make_atomic_inner, _seeded_targets(15, 4), None),
+    (make_atomic_inner, [math.exp(-1)] + _seeded_targets(16, 6), (0.9, 0.99, 0.999)),
+    (make_scaled_exponential, [1e-10, -1e-10, 0.5]
+     + [10.0 ** -(6 + 6 * abs(w)) * w / abs(w) for w in _seeded_targets(17, 5)], None),
+], ids=["blaschke", "mobius", "slit-power", "atomic-inner", "atomic-inner-short",
+        "scaled-exp"])
+def test_valences_match_per_target_scans_on_seeded_targets(make, ws, schedule):
+    outcomes = _valences_match_per_target_scans(make(), ws, schedule)
+    assert all(isinstance(outcome, ValenceReport) for outcome in outcomes)
+
+
+def test_valences_match_per_target_scans_on_near_misses_and_failures(monkeypatch):
+    # each w with |w| = 0.125 has its preimages under z^3 on r = 0.5 and
+    # climbs a jitter rung there
+    reports = _valences_match_per_target_scans(CUBE, [0.1, 0.125, 0.1j, -0.125])
+    assert [r.radii[0] == 0.5 for r in reports] == [True, False, True, False]
+    # the zero near the boundary enters between the last radii of the first
+    # wave, so w = 0 needs two radii past it; w = 0.5 stops inside it
+    late = blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 0.99991 + 0j)))
+    reports = _valences_match_per_target_scans(late, [0j, 0.5])
+    assert len(reports[0].radii) == 16 and reports[0].value == 2
+    assert len(reports[1].radii) == 14
+    # every rung of the first ladder of the first target has |f - w| = 0
+    reports = _valences_match_per_target_scans(_constant(0.3 + 0.1j), [0.3 + 0.1j, 0.5])
+    assert reports[0].failed_radius == 0.5 and reports[1].stabilized
+    # a negative winding fails one target's scan, not its chunk's
+    outcomes = _valences_match_per_target_scans(_conjugate(), [0.3, 2.0, 0.2j])
+    assert [type(o) for o in outcomes] == [InternalConsistencyError, ValenceReport,
+                                           InternalConsistencyError]
+    # every target meets the non-finite arc at its second radius
+    outcomes = _valences_match_per_target_scans(_nan_arc(0.75), [0.1, 0.2])
+    assert all(isinstance(outcome, DomainError) for outcome in outcomes)
+    monkeypatch.setattr(valence, "MAX_NODES", 128)
+    outcomes = _valences_match_per_target_scans(make_atomic_inner(), [math.exp(-1), 0.5])
+    assert all(isinstance(outcome, RefinementOverflowError) for outcome in outcomes)
+
+
+def test_a_non_finite_target_is_its_own_outcome():
+    ws = [0.1, complex(math.nan, 0.0), 0.2, math.inf]
+    outcomes = _valences_match_per_target_scans(CUBE, ws)
+    assert [type(o) for o in outcomes] == [ValenceReport, ValueError, ValenceReport,
+                                           ValueError]
+    with pytest.raises(ValueError, match="w must have finite components") as raised:
+        valence_at(CUBE, math.inf)
+    assert str(outcomes[3]) == str(raised.value)
+    # a bad schedule fails the call, unless no target is finite
+    with pytest.raises(ValueError, match="contour radii must be strictly increasing"):
+        valence._valences(CUBE, ws, (0.9, 0.5))
+    assert [type(o) for o in valence._valences(CUBE, ws[1::2], (0.9, 0.5))] == [ValueError] * 2
+
+
+def test_scan_stops_after_the_chunk_of_its_first_failure(monkeypatch):
+    chunks = []
+    valences = valence._valences
+
+    def recording(f, ws, schedule=None):
+        chunks.append(list(ws))
+        return valences(f, ws, schedule)
+
+    monkeypatch.setattr(valence, "_valences", recording)
+    ws = [0.1 * k for k in range(12)]
+    ws[4] = math.nan
+    seen = []
+    for w, outcome in valence._scan(CUBE, ws):
+        seen.append(w)
+        if isinstance(outcome, Exception):
+            break
+    assert seen == ws[:5]
+    # chunks of 1, 2 and 4 targets: 7 computed, at most 2i + 1 for i = 4
+    assert chunks == [ws[:1], ws[1:3], ws[3:7]]
+    chunks.clear()
+    assert [w for w, _ in valence._scan(CUBE, ws)] == ws
+    assert chunks == [ws[:1], ws[1:3], ws[3:7], ws[7:12]]
 
 
 def test_valence_profile_checks_its_radii_before_any_contour(monkeypatch):
@@ -690,6 +842,13 @@ PINNED_WORK = {
     "heatmap": (lambda: valence_heatmap(make_atomic_inner(), 24, 0.999), (307, 138900, 309)),
     "theorem-3-1": (lambda: check_theorem_3_1(make_atomic_inner()), (177, 39775, 183)),
 }
+# runs whose targets share waves; one target at a time, as
+# _per_target_valence scans them, they take the same nodes in
+# (386 calls, 420 rounds) and (1,606 calls, 799 rounds)
+PINNED_WORK.update({
+    "theorem-3-1-mobius": (lambda: check_theorem_3_1(MOBIUS), (169, 102627, 108)),
+    "theorem-3-2": (lambda: check_theorem_3_2(2, 0, 500, 100), (534, 249934, 167)),
+})
 
 
 @pytest.mark.parametrize("name", PINNED_WORK)
@@ -698,6 +857,16 @@ def test_engine_work_is_pinned(monkeypatch, name):
     count = _record_work(monkeypatch)
     run()
     assert count() == work
+
+
+@pytest.mark.parametrize("name", ["theorem-3-1-mobius", "theorem-3-2"])
+def test_shared_waves_evaluate_the_nodes_of_per_target_scans(monkeypatch, name):
+    run, (_, nodes, _) = PINNED_WORK[name]
+    monkeypatch.setattr(valence, "_valences", lambda f, ws, schedule=None: [
+        _outcome(_per_target_valence, f, w, schedule) for w in ws])
+    count = _record_work(monkeypatch)
+    run()
+    assert count()[1] == nodes
 
 
 @pytest.mark.parametrize("name", WORK)

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every
 module-level private name and UPPER_CASE constant is read somewhere in the
 package, the one chain rule of the package is the only map evaluation
-inside a handle, only the CLI reads a clock, and one function iterates
-Aberth sweeps, with no ``np.polyval`` anywhere.
+inside a handle, only the CLI reads a clock, one function iterates
+Aberth sweeps, with no ``np.polyval`` anywhere, and one function walks the
+radii of a valence scan.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -139,6 +140,33 @@ def test_one_function_iterates_aberth_sweeps_and_none_calls_polyval():
     assert loops == ["numerics.py:_aberth_sweeps"]
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if reads(ast.parse(path.read_text()), "polyval")] == []
+
+
+def stop_rule_loops(source: str) -> list:
+    """The function (or method) around each loop that reads both
+    ``STOP_RUN`` and ``STOP_MIN_RADIUS``: a walk over the radii of a
+    valence scan that applies its stop rule."""
+    return sorted(top.name for top in top_functions(ast.parse(source))
+                  for loop in ast.walk(top) if isinstance(loop, (ast.For, ast.While))
+                  and reads(loop, "STOP_RUN") and reads(loop, "STOP_MIN_RADIUS"))
+
+
+def test_the_check_sees_a_stop_rule_loop():
+    source = ("def walk(radii, used):\n    for r in radii:\n"
+              "        if len(used) >= STOP_RUN and r >= valence.STOP_MIN_RADIUS:\n"
+              "            break\n"
+              "def first(radii):\n"
+              "    return next(i + STOP_RUN for i, r in enumerate(radii) if r >= STOP_MIN_RADIUS)\n"
+              "class S:\n    def run(self, counts):\n        while len(counts) < STOP_RUN:\n"
+              "            counts.append(0)\n        return counts\n")
+    assert stop_rule_loops(source) == ["walk"]
+
+
+def test_one_function_walks_the_radii_of_a_valence_scan():
+    # one scan path: valence_at and the verifier scans share _valences
+    loops = [f"{module}:{name}" for module in MODULES
+             for name in stop_rule_loops((PACKAGE / module).read_text())]
+    assert loops == ["valence.py:_report"]
 
 
 def unread_private_names(sources: dict) -> list:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blaschke_lab import verifier
+from blaschke_lab import valence, verifier
 from blaschke_lab.cli import main
 from blaschke_lab.errors import ContourProximityError, SolverFailure
 from blaschke_lab.gallery import (
@@ -290,10 +290,11 @@ def test_a_subnormal_distance_is_a_proximity_failure_not_an_overflow():
 
 
 def test_theorem_3_2_records_a_valence_scan_error_as_a_failing_case(monkeypatch):
-    def failing(f, w, schedule=None):
-        raise ContourProximityError("contour node too close")
+    def failing(f, ws, schedule=None):
+        return [ContourProximityError("contour node too close") for _ in ws]
 
-    monkeypatch.setattr(verifier, "valence_at", failing)
+    # the scan of the valence targets takes its outcomes from _valences
+    monkeypatch.setattr(valence, "_valences", failing)
     report = check_theorem_3_2(k=2, seed=0, n_membership=50, n_valence=3)
     assert report.cases[5] == {"case": 5, "kind": "valence-bound", "samples": 3,
                                "ok": False, "error": "contour node too close"}
