@@ -337,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gal = sub.add_parser("gallery", help="emit a canonical gallery map spec")
     p_gal.add_argument("name", help=f"one of: {', '.join(GALLERY)}")
-    p_gal.add_argument("--k", **OPTIONS["k"])
-    p_gal.add_argument("--n", type=int, help="escape index")
+    p_gal.add_argument("--k", **OPTIONS["k"], action=_Checked, check=_check_power_exponent)
+    p_gal.add_argument("--n", type=int, action=_Checked,
+                       check=lambda n: _check_escape_indices((n,)), help="escape index")
     p_gal.add_argument("--epsilon", type=float, help="scaled-exp factor")
     p_gal.add_argument("--c-param", type=float, help="scaled-exp rate c")
     p_gal.add_argument("--a", type=parse_complex, help="frostman shift parameter")

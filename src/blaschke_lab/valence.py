@@ -348,7 +348,9 @@ def _wind(f, ws, rs, initial_nodes: int = INITIAL_NODES) -> list:
 
 
 def _check_radii(radii):
-    """Raise ValueError unless the contour radii lie in (0, 1) and increase."""
+    """Raise ValueError unless there are contour radii, all in (0, 1) and increasing."""
+    if not radii:
+        raise ValueError("contour radius schedule must not be empty")
     for r in radii:
         if not 0.0 < r < 1.0:
             raise ValueError(f"contour radius must lie in (0, 1), got {r!r}")
@@ -444,24 +446,21 @@ def _report(f, w, radii, deltas, rungs) -> ValenceReport:
 
 def _valences(f, ws, schedule=None) -> list:
     """For each target of ``ws``, the report ``valence_at(f, w, schedule)``
-    returns or the exception it raises; a bad schedule raises for the call.
-    The first-wave ladders of all targets climb in one ``_ladders`` call,
-    then each target finishes its own scan."""
-    targets = [_attempt(require_finite, w, "w") for w in ws]
-    live = [w for w in targets if not isinstance(w, Exception)]
+    returns or the exception it raises; a non-finite target or a bad
+    schedule raises for the call.  The first-wave ladders of all targets
+    climb in one ``_ladders`` call, then each target finishes its own scan."""
+    ws = [require_finite(w, "w") for w in ws]
     radii = default_schedule() if schedule is None else tuple(schedule)
-    if live:
-        _check_radii(radii)
+    _check_radii(radii)
     deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
     # the stop rule can fire first STOP_RUN - 1 radii after the first radius
     # at or beyond STOP_MIN_RADIUS
     first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
                          if r >= STOP_MIN_RADIUS), len(radii))]
-    rungs = iter(_ladders(f, [w for w in live for _ in first], first * len(live),
-                          deltas[:len(first)] * len(live)))
-    return [w if isinstance(w, Exception)
-            else _attempt(_report, f, w, radii, deltas, [next(rungs) for _ in first])
-            for w in targets]
+    rungs = iter(_ladders(f, [w for w in ws for _ in first], first * len(ws),
+                          deltas[:len(first)] * len(ws)))
+    return [_attempt(_report, f, w, radii, deltas, [next(rungs) for _ in first])
+            for w in ws]
 
 
 def _scan(f, ws):

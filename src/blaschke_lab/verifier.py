@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BlaschkeLabError, NotAnAutomorphismError
 from .gallery import (
+    _check_power_exponent,
     _slit_g_vec,
     _slit_h_vec,
     make_escape_sequence,
@@ -132,6 +133,28 @@ def _check_sizes(*sizes):
         raise ValueError("suite sizes must be positive")
 
 
+def _case(cases, record, compute, *args):
+    """Append ``record`` as case ``len(cases)`` with the fields ``compute(*args)``
+    returns, or as a failure that carries the BlaschkeLabError it raises."""
+    try:
+        fields = compute(*args)
+    except BlaschkeLabError as err:
+        fields = {"ok": False, "error": str(err)}
+    cases.append({"case": len(cases), **record, **fields})
+
+
+def _forward(handle, w, degree):
+    report = valence_at(handle, w)
+    pre = blaschke_preimages(handle.blaschke, w)
+    return {"valence": report.value,
+            "stabilized": report.stabilized,
+            "max_residual": max(report.residuals, default=0.0),
+            "preimage_multiplicity": pre.total_multiplicity,
+            "ok": (report.stabilized and report.value == degree
+                   and pre.total_multiplicity == degree
+                   and all(r < 1e-6 for r in report.residuals))}
+
+
 def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> SuiteReport:
     """Forward law: a degree-n Blaschke product takes every target in the
     disc exactly n times, by winding count and by direct preimage solving.
@@ -140,30 +163,14 @@ def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> Su
     _check_sizes(n_products, n_targets)
     rng = np.random.default_rng(seed)
     cases = []
-    for i in range(n_products):
+    for _ in range(n_products):
         degree = int(rng.integers(1, 7))
-        b = _random_blaschke(rng, degree)
-        handle = blaschke_handle(b)
-        spec = handle.spec
-        for j in range(n_targets):
+        handle = blaschke_handle(_random_blaschke(rng, degree))
+        for _ in range(n_targets):
             w = _sample_disc(rng, 0.9)
-            record = {"case": len(cases), "kind": "blaschke-forward",
-                      "map": spec, "w": [w.real, w.imag], "degree": degree}
-            try:
-                report = valence_at(handle, w)
-                pre = blaschke_preimages(b, w)
-                record.update({
-                    "valence": report.value,
-                    "stabilized": report.stabilized,
-                    "max_residual": max(report.residuals, default=0.0),
-                    "preimage_multiplicity": pre.total_multiplicity,
-                    "ok": (report.stabilized and report.value == degree
-                           and pre.total_multiplicity == degree
-                           and all(r < 1e-6 for r in report.residuals)),
-                })
-            except BlaschkeLabError as err:
-                record.update({"ok": False, "error": str(err)})
-            cases.append(record)
+            _case(cases, {"kind": "blaschke-forward", "map": handle.spec,
+                          "w": [w.real, w.imag], "degree": degree},
+                  _forward, handle, w, degree)
 
     half_grid = valence_heatmap(make_half_map(), 32, 0.99)
     counts = sorted(half_grid.counts_present())
@@ -174,18 +181,33 @@ def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> Su
     exp_handle = make_scaled_exponential()
     observed = []
     expected = []
-    probe_ok = True
     for w in (1e-10, -1e-10, 0.5):
-        report = valence_at(exp_handle, complex(w))
-        observed.append(report.value)
+        observed.append(valence_at(exp_handle, complex(w)).value)
         expected.append(len(scaled_exp_preimages(w)))
-        probe_ok = probe_ok and report.value == expected[-1]
     cases.append({"case": len(cases), "kind": "scaled-exp-probe",
                   "map": {"type": "gallery", "name": "scaled-exp"},
                   "w": [1e-10, -1e-10, 0.5],
                   "observed": observed, "expected": expected,
-                  "ok": probe_ok and len(set(observed)) >= 2})
+                  "ok": observed == expected and len(set(observed)) >= 2})
     return SuiteReport("theorem-a", seed, tuple(cases))
+
+
+def _composition(outer, inner, probes):
+    composed = blaschke_compose(outer, inner)
+    worst = 0.0
+    for z in probes:
+        direct, _ = blaschke_eval(inner, z)
+        direct, _ = blaschke_eval(outer, direct)
+        through, _ = blaschke_eval(composed, z)
+        worst = max(worst, abs(direct - through))
+    return {"degree": composed.degree,
+            "unimodular_defect": abs(abs(composed.lam) - 1.0),
+            "max_zero_modulus": max((abs(z) for z in composed.zeros), default=0.0),
+            "pointwise_error": worst,
+            "ok": (composed.degree == outer.degree * inner.degree
+                   and abs(abs(composed.lam) - 1.0) <= 1e-12
+                   and all(abs(z) < 1.0 for z in composed.zeros)
+                   and worst < 1e-8)}
 
 
 def check_theorem_B(seed: int, n_pairs: int = 50) -> SuiteReport:
@@ -194,34 +216,30 @@ def check_theorem_B(seed: int, n_pairs: int = 50) -> SuiteReport:
     _check_sizes(n_pairs)
     rng = np.random.default_rng(seed)
     cases = []
-    for i in range(n_pairs):
+    for _ in range(n_pairs):
         outer = _random_blaschke(rng, int(rng.integers(1, 4)))
         inner = _random_blaschke(rng, int(rng.integers(1, 4)))
-        record = {"case": i, "kind": "composition",
-                  "outer": blaschke_handle(outer).spec, "inner": blaschke_handle(inner).spec}
-        try:
-            composed = blaschke_compose(outer, inner)
-            probes = [_sample_disc(rng, 0.8) for _ in range(50)]
-            worst = 0.0
-            for z in probes:
-                direct, _ = blaschke_eval(inner, z)
-                direct, _ = blaschke_eval(outer, direct)
-                through, _ = blaschke_eval(composed, z)
-                worst = max(worst, abs(direct - through))
-            record.update({
-                "degree": composed.degree,
-                "unimodular_defect": abs(abs(composed.lam) - 1.0),
-                "max_zero_modulus": max((abs(z) for z in composed.zeros), default=0.0),
-                "pointwise_error": worst,
-                "ok": (composed.degree == outer.degree * inner.degree
-                       and abs(abs(composed.lam) - 1.0) <= 1e-12
-                       and all(abs(z) < 1.0 for z in composed.zeros)
-                       and worst < 1e-8),
-            })
-        except BlaschkeLabError as err:
-            record.update({"ok": False, "error": str(err)})
-        cases.append(record)
+        # drawn before composing, so a failing case moves no later case's inputs
+        probes = [_sample_disc(rng, 0.8) for _ in range(50)]
+        _case(cases, {"kind": "composition", "outer": blaschke_handle(outer).spec,
+                      "inner": blaschke_handle(inner).spec},
+              _composition, outer, inner, probes)
     return SuiteReport("theorem-b", seed, tuple(cases))
+
+
+def _census(b):
+    census = blaschke_critical_points(b)
+    return {"census": census.total_multiplicity,
+            "ok": census.total_multiplicity == b.degree - 1 and census.distinct_count > 0}
+
+
+def _recovery(handle, alpha):
+    census = blaschke_critical_points(handle.blaschke)
+    recovered, sup_error = mobius_recover(handle)
+    return {"census": census.total_multiplicity,
+            "sup_error": sup_error,
+            "alpha_error": abs(recovered.alpha - alpha),
+            "ok": census.total_multiplicity == 0 and sup_error < 1e-8}
 
 
 def check_theorem_C(seed: int, n_products: int = 50, n_mobius: int = 20) -> SuiteReport:
@@ -231,39 +249,17 @@ def check_theorem_C(seed: int, n_products: int = 50, n_mobius: int = 20) -> Suit
     _check_sizes(n_products, n_mobius)
     rng = np.random.default_rng(seed)
     cases = []
-    for i in range(n_products):
+    for _ in range(n_products):
         degree = int(rng.integers(2, 7))
         b = _random_blaschke(rng, degree)
-        record = {"case": i, "kind": "critical-census", "map": blaschke_handle(b).spec,
-                  "degree": degree}
-        try:
-            census = blaschke_critical_points(b)
-            record.update({
-                "census": census.total_multiplicity,
-                "ok": (census.total_multiplicity == degree - 1
-                       and census.distinct_count > 0),
-            })
-        except BlaschkeLabError as err:
-            record.update({"ok": False, "error": str(err)})
-        cases.append(record)
-    for i in range(n_mobius):
+        _case(cases, {"kind": "critical-census", "map": blaschke_handle(b).spec,
+                      "degree": degree}, _census, b)
+    for _ in range(n_mobius):
         alpha = _sample_disc(rng, 0.95)
         lam = cmath.exp(2j * math.pi * rng.uniform())
         handle = mobius_handle(MobiusAutomorphism(alpha=alpha, lam=lam))
-        record = {"case": n_products + i, "kind": "automorphism-recovery",
-                  "map": handle.spec}
-        try:
-            census = blaschke_critical_points(handle.blaschke)
-            recovered, sup_error = mobius_recover(handle)
-            record.update({
-                "census": census.total_multiplicity,
-                "sup_error": sup_error,
-                "alpha_error": abs(recovered.alpha - alpha),
-                "ok": census.total_multiplicity == 0 and sup_error < 1e-8,
-            })
-        except BlaschkeLabError as err:
-            record.update({"ok": False, "error": str(err)})
-        cases.append(record)
+        _case(cases, {"kind": "automorphism-recovery", "map": handle.spec},
+              _recovery, handle, alpha)
     return SuiteReport("theorem-c", seed, tuple(cases))
 
 
@@ -358,11 +354,24 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
                            sup_error=sup_error)
 
 
+def _omits_zero(f):
+    profile = valence_profile(f, 0.0, default_schedule())
+    return {"counts": [c for _, c in profile], "ok": all(c == 0 for _, c in profile)}
+
+
+def _bounded_valence(f, ws, k):
+    top = max(_unwrap(outcome).value for _, outcome in _scan(f, ws))
+    return {"max_valence": top, "ok": top <= k}
+
+
 def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
                       n_valence: int = 100) -> SuiteReport:
     """The slit-power map is neither injective nor surjective, misses only
     a null set, and has nowhere-vanishing derivative and valence <= k.
-    ``make_slit_power`` checks k before any case runs."""
+    The exponent and the sample sizes are checked before any case runs."""
+    _check_power_exponent(k)
+    _check_sizes(n_membership, n_valence)
+    k = int(k)
     rng = np.random.default_rng(seed)
     f = make_slit_power(k)
     cases = []
@@ -372,7 +381,7 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
     u = r * np.exp(1j * th)
     # Python's abs, not np.abs: their complex moduli differ in the last bit
     worst = max(abs(e) for e in (_slit_h_vec(_slit_g_vec(u)[0]) - u).tolist())
-    cases.append({"case": 0, "kind": "roundtrip", "samples": 1000,
+    cases.append({"case": len(cases), "kind": "roundtrip", "samples": 1000,
                   "max_error": worst, "ok": bool(worst < 1e-9)})
 
     if k == 2:
@@ -382,19 +391,12 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
         u1, u2 = power_preimages(_sample_disc(rng_w, 0.5), k)[:2]
     v1, _ = f.eval(u1)
     v2, _ = f.eval(u2)
-    cases.append({"case": 1, "kind": "non-injectivity",
+    cases.append({"case": len(cases), "kind": "non-injectivity",
                   "u1": [u1.real, u1.imag], "u2": [u2.real, u2.imag],
                   "separation": abs(u1 - u2), "image_distance": abs(v1 - v2),
                   "ok": abs(u1 - u2) > 0.1 and abs(v1 - v2) < 1e-9})
 
-    record = {"case": 2, "kind": "omits-zero"}
-    try:
-        profile = valence_profile(f, 0.0, default_schedule())
-        record.update({"counts": [c for _, c in profile],
-                       "ok": all(c == 0 for _, c in profile)})
-    except BlaschkeLabError as err:
-        record.update({"ok": False, "error": str(err)})
-    cases.append(record)
+    _case(cases, {"kind": "omits-zero"}, _omits_zero, f)
 
     radii = np.sqrt(rng.uniform(0, 1, n_membership))
     angles = rng.uniform(0, 2 * math.pi, n_membership)
@@ -412,7 +414,7 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
         values, _ = f.eval_many(pre)
         membership_err = max(membership_err, float(np.max(np.abs(values - w[mask]))))
         covered |= mask
-    cases.append({"case": 3, "kind": "membership", "samples": int(len(w)),
+    cases.append({"case": len(cases), "kind": "membership", "samples": int(len(w)),
                   "all_covered": bool(covered.all()), "max_error": membership_err,
                   "ok": bool(covered.all()) and membership_err < 1e-8})
 
@@ -420,18 +422,11 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
     # positivity floor must shrink with k; the exponent keeps k=2 at 1e-6.
     floor_k = DERIVATIVE_FLOOR ** ((2 * k - 1) / 3.0)
     floor = min_abs_derivative(f)
-    cases.append({"case": 4, "kind": "derivative-floor", "min_abs": floor,
+    cases.append({"case": len(cases), "kind": "derivative-floor", "min_abs": floor,
                   "floor": floor_k, "ok": floor > floor_k})
 
-    record = {"case": 5, "kind": "valence-bound", "samples": n_valence}
     ws = [_sample_disc(rng, 0.9) for _ in range(n_valence)]
-    try:
-        values = [_unwrap(outcome).value for _, outcome in _scan(f, ws)]
-        record.update({"max_valence": max(values, default=0),
-                       "ok": all(v <= k for v in values)})
-    except BlaschkeLabError as err:
-        record.update({"ok": False, "error": str(err)})
-    cases.append(record)
+    _case(cases, {"kind": "valence-bound", "samples": n_valence}, _bounded_valence, f, ws, k)
 
     return SuiteReport("theorem-3-2", seed, tuple(cases))
 

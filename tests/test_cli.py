@@ -303,6 +303,15 @@ def test_heatmap_unwritable_path_exits_3(capsys):
     assert "cannot write" in err
 
 
+def test_verify_unwritable_path_exits_3(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "cases.jsonl"
+    code, out, err = run_cli(capsys, "verify", "theorem-a", "--seed", "1", "--cases", "1",
+                             "--targets", "1", "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
 def test_verify_requires_seed(capsys):
     code, _, err = run_cli(capsys, "verify", "theorem-a")
     assert code == 2
@@ -389,8 +398,13 @@ def test_verify_expect_takes_only_verdicts(capsys):
      "argument --w: demo target must satisfy |w| < 0.5"),
     (("verify", "hurwitz-demo", "--n-list", "2,1"),
      "argument --n-list: escape index n must be an integer >= 2"),
+    (("gallery", "slit-power", "--k", "1"),
+     "argument --k: power exponent k must be an integer >= 2"),
+    (("gallery", "escape", "--n", "1"),
+     "argument --n: escape index n must be an integer >= 2"),
 ], ids=["resolution", "radius", "a-cases", "a-targets", "b-cases", "c-cases",
-        "c-mobius-cases", "3-2-k", "3-1-bound", "hurwitz-w", "hurwitz-n-list"])
+        "c-mobius-cases", "3-2-k", "3-1-bound", "hurwitz-w", "hurwitz-n-list",
+        "gallery-k", "gallery-n"])
 def test_a_value_out_of_its_range_exits_2_and_is_named(capsys, argv, message):
     # the option runs the library's own check, so the reason is the library's
     code, out, err = run_cli(capsys, *argv)

@@ -722,18 +722,23 @@ def test_valences_match_per_target_scans_on_near_misses_and_failures(monkeypatch
     assert all(isinstance(outcome, RefinementOverflowError) for outcome in outcomes)
 
 
-def test_a_non_finite_target_is_its_own_outcome():
-    ws = [0.1, complex(math.nan, 0.0), 0.2, math.inf]
-    outcomes = _valences_match_per_target_scans(CUBE, ws)
-    assert [type(o) for o in outcomes] == [ValenceReport, ValueError, ValenceReport,
-                                           ValueError]
-    with pytest.raises(ValueError, match="w must have finite components") as raised:
-        valence_at(CUBE, math.inf)
-    assert str(outcomes[3]) == str(raised.value)
-    # a bad schedule fails the call, unless no target is finite
+def test_a_phase_sum_off_an_integer_is_an_internal_error():
+    # a phase sum more than RESIDUAL_MAX from a whole number of turns means
+    # the step tests let a step alias; no count is read from it
+    outcome = valence._settle(1.5 * valence.TWO_PI)
+    assert isinstance(outcome, InternalConsistencyError)
+    assert str(outcome) == "winding 1.5 is 5.000e-01 from an integer"
+    assert valence._settle(2 * valence.TWO_PI) == (2, 0.0)
+
+
+def test_a_non_finite_target_or_a_bad_schedule_fails_the_call(monkeypatch):
+    sizes = _record_evaluations(monkeypatch)
+    for w in (complex(math.nan, 0.0), math.inf):
+        with pytest.raises(ValueError, match="w must have finite components"):
+            valence._valences(CUBE, [0.1, w, 0.2])
     with pytest.raises(ValueError, match="contour radii must be strictly increasing"):
-        valence._valences(CUBE, ws, (0.9, 0.5))
-    assert [type(o) for o in valence._valences(CUBE, ws[1::2], (0.9, 0.5))] == [ValueError] * 2
+        valence._valences(CUBE, [0.1, 0.2], (0.9, 0.5))
+    assert sizes == []
 
 
 def test_scan_stops_after_the_chunk_of_its_first_failure(monkeypatch):
@@ -745,10 +750,12 @@ def test_scan_stops_after_the_chunk_of_its_first_failure(monkeypatch):
         return valences(f, ws, schedule)
 
     monkeypatch.setattr(valence, "_valences", recording)
-    ws = [0.1 * k for k in range(12)]
-    ws[4] = math.nan
+    # the conjugate winds -1 times around a target inside the disc and 0
+    # times around one outside, so only target 4 fails
+    ws = [1.5 + 0.1 * k for k in range(12)]
+    ws[4] = 0.3
     seen = []
-    for w, outcome in valence._scan(CUBE, ws):
+    for w, outcome in valence._scan(_conjugate(), ws):
         seen.append(w)
         if isinstance(outcome, Exception):
             break
@@ -756,15 +763,17 @@ def test_scan_stops_after_the_chunk_of_its_first_failure(monkeypatch):
     # chunks of 1, 2 and 4 targets: 7 computed, at most 2i + 1 for i = 4
     assert chunks == [ws[:1], ws[1:3], ws[3:7]]
     chunks.clear()
-    assert [w for w, _ in valence._scan(CUBE, ws)] == ws
+    assert [w for w, _ in valence._scan(_conjugate(), ws)] == ws
     assert chunks == [ws[:1], ws[1:3], ws[3:7], ws[7:12]]
 
 
 def test_valence_profile_checks_its_radii_before_any_contour(monkeypatch):
     sizes = _record_evaluations(monkeypatch)
-    # valence_at, valence_profile and winding_number share one check: every
-    # radius in (0, 1) first, then strictly increasing radii
+    # valence_at, valence_profile and winding_number share one check: some
+    # radii, every radius in (0, 1), then strictly increasing radii
     for scan in (valence_profile, valence_at):
+        with pytest.raises(ValueError, match="contour radius schedule must not be empty"):
+            scan(CUBE, 0.1, ())
         with pytest.raises(ValueError, match=r"contour radius must lie in \(0, 1\), got 1.5"):
             scan(CUBE, 0.1, (0.5, 1.5))
         with pytest.raises(ValueError, match=r"contour radius must lie in \(0, 1\), got 1.5"):

@@ -2,8 +2,9 @@
 module-level private name and UPPER_CASE constant is read somewhere in the
 package, the one chain rule of the package is the only map evaluation
 inside a handle, only the CLI reads a clock, one function iterates
-Aberth sweeps, with no ``np.polyval`` anywhere, and one function walks the
-radii of a valence scan.
+Aberth sweeps, with no ``np.polyval`` anywhere, one function walks the
+radii of a valence scan, and one function writes a failing suite case,
+with no suite case numbered by a literal.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -167,6 +168,45 @@ def test_one_function_walks_the_radii_of_a_valence_scan():
     loops = [f"{module}:{name}" for module in MODULES
              for name in stop_rule_loops((PACKAGE / module).read_text())]
     assert loops == ["valence.py:_report"]
+
+
+def error_writers(source: str) -> list:
+    """The function (or method) around each write of an ``"error"`` field: a
+    dict display or a keyword argument with that key, or a store into it."""
+    def is_error(node):
+        return isinstance(node, ast.Constant) and node.value == "error"
+    return sorted(top.name for top in top_functions(ast.parse(source))
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Dict) and any(map(is_error, node.keys))
+                  or isinstance(node, ast.keyword) and node.arg == "error"
+                  or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and is_error(node.slice))
+
+
+def literal_case_numbers(source: str) -> list:
+    """The literal value of each ``"case"`` key of a dict display."""
+    return [value.value for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "case"
+            and isinstance(value, ast.Constant)]
+
+
+def test_the_checks_see_an_error_field_and_a_literal_case_number():
+    source = ("def run(cases):\n    try:\n        pass\n    except E as err:\n"
+              "        cases.append({'case': 0, 'ok': False, 'error': str(err)})\n"
+              "def patch(record):\n    record['error'] = 'x'\n    record.update(error='y')\n"
+              "def fine(cases, record):\n    cases.append({'case': len(cases), 'errors': 0})\n"
+              "    return record['error']\n")
+    assert error_writers(source) == ["patch", "patch", "run"]
+    assert literal_case_numbers(source) == [0]
+
+
+def test_one_function_writes_a_failing_case_and_no_suite_numbers_one():
+    # one case runner: it numbers each case and turns an error into a record
+    writers = [f"{module}:{name}" for module in MODULES
+               for name in error_writers((PACKAGE / module).read_text())]
+    assert writers == ["verifier.py:_case"]
+    assert literal_case_numbers((PACKAGE / "verifier.py").read_text()) == []
 
 
 def unread_private_names(sources: dict) -> list:

@@ -107,6 +107,24 @@ def test_a_solver_failure_becomes_an_error_record(monkeypatch, capsys, solver):
     assert lines[-1]["summary"]["failures"] == 1 and not lines[-1]["summary"]["ok"]
 
 
+def test_a_failing_composition_moves_no_later_case(monkeypatch):
+    clean = check_theorem_B(1, 3)
+    original = verifier.blaschke_compose
+    calls = []
+
+    def fail_first(outer, inner):
+        calls.append(outer)
+        if len(calls) == 1:
+            raise SolverFailure("compose did not converge")
+        return original(outer, inner)
+
+    monkeypatch.setattr(verifier, "blaschke_compose", fail_first)
+    report = check_theorem_B(1, 3)
+    assert report.cases[0]["error"] == "compose did not converge"
+    # each case draws its probe points before it composes
+    assert report.cases[1:] == clean.cases[1:]
+
+
 def test_suites_are_pure():
     assert check_theorem_B(1, 5) == check_theorem_B(1, 5)
     assert check_theorem_C(1, 3, 2) == check_theorem_C(1, 3, 2)
@@ -214,6 +232,14 @@ def test_pipeline_names_the_critical_point_of_a_blaschke_candidate():
     assert min_abs_derivative(blaschke_handle(DEGREE_TWO)) > verifier.DERIVATIVE_FLOOR
 
 
+def test_pipeline_reports_a_valence_above_the_bound_with_its_profile():
+    verdict = check_theorem_3_1(blaschke_handle(DEGREE_TWO), valence_bound=1)
+    assert verdict.verdict == "valence-unbounded"
+    assert verdict.detail == "valence at w=0.0636+0.0000j is 2 > bound 1"
+    # both preimages of the probe target f(0) lie inside |z| < 0.9
+    assert verdict.profile == ((0.9, 2), (0.99, 2), (0.999, 2))
+
+
 def test_pipeline_falls_back_to_the_grid_when_the_census_fails(monkeypatch):
     def failing(b):
         raise SolverFailure("census did not converge")
@@ -304,6 +330,16 @@ def test_theorem_3_2_records_a_valence_scan_error_as_a_failing_case(monkeypatch)
 def test_theorem_3_2_validates_k():
     with pytest.raises(ValueError):
         check_theorem_3_2(k=1)
+
+
+def test_theorem_3_2_takes_an_integral_float_exponent():
+    assert check_theorem_3_2(2.0, 0, 50, 3) == check_theorem_3_2(2, 0, 50, 3)
+
+
+@pytest.mark.parametrize("n_membership, n_valence", [(0, 0), (0, 5), (5, 0)])
+def test_theorem_3_2_never_passes_without_samples(n_membership, n_valence):
+    with pytest.raises(ValueError, match="suite sizes must be positive"):
+        check_theorem_3_2(2, 0, n_membership, n_valence)
 
 
 def test_hurwitz_demo_table():
