@@ -8,6 +8,7 @@ identical invocations emit identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -153,17 +154,12 @@ def load_map_argument(text: str):
     return parse_map_spec(spec)
 
 
-def _write_out(path, payload: str) -> int:
+def _destination(path):
+    """The stream that ``--out`` names, opened before any work as shell
+    redirection opens it: stdout, as it is at call time, for no path or "-"."""
     if path is None or path == "-":
-        sys.stdout.write(payload)
-        return 0
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as err:
-        print(f"error: cannot write {path}: {err}", file=sys.stderr)
-        return IO_ERROR
-    return 0
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def cmd_eval(args) -> int:
@@ -186,11 +182,9 @@ def cmd_valence(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    grid = valence_heatmap(args.map, args.resolution, args.radius)
-    payload = heatmap_to_csv(grid) if args.format == "csv" else heatmap_to_pgm(grid)
-    status = _write_out(args.out, payload)
-    if status != 0:
-        return status
+    with _destination(args.out) as out:
+        grid = valence_heatmap(args.map, args.resolution, args.radius)
+        out.write(heatmap_to_csv(grid) if args.format == "csv" else heatmap_to_pgm(grid))
     counts = grid.cells[grid.cells >= 0]
     summary = (f"cells={grid.resolution ** 2} "
                f"min-count={int(counts.min()) if counts.size else 'n/a'} "
@@ -256,18 +250,17 @@ def cmd_verify(args) -> int:
     # the suite's options default to absent, so these are the ones given
     given = vars(args)
     kwargs = {key: value for key, value in given.items() if key in params.values()}
-    t0 = time.perf_counter()
-    result = getattr(verifier, name)(**kwargs)
-    seconds = time.perf_counter() - t0
-    if isinstance(result, SuiteReport):
-        payload, ok, note = _render_suite(result, seconds)
-    elif isinstance(result, PipelineVerdict):
-        payload, ok, note = _render_verdict(result, kwargs["candidate"], given.get("expect"))
-    else:
-        payload, ok, note = _render_hurwitz(*result)
-    status = _write_out(given.get("out"), payload)
-    if status != 0:
-        return status
+    with _destination(given.get("out")) as out:
+        t0 = time.perf_counter()
+        result = getattr(verifier, name)(**kwargs)
+        seconds = time.perf_counter() - t0
+        if isinstance(result, SuiteReport):
+            payload, ok, note = _render_suite(result, seconds)
+        elif isinstance(result, PipelineVerdict):
+            payload, ok, note = _render_verdict(result, kwargs["candidate"], given.get("expect"))
+        else:
+            payload, ok, note = _render_hurwitz(*result)
+        out.write(payload)
     if note is not None:
         print(note, file=sys.stderr)
     return 0 if ok else 1
@@ -361,8 +354,8 @@ def main(argv=None) -> int:
     except BlaschkeLabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except OSError as err:  # after parsing, the only I/O writes the output
+        print(f"error: cannot write {err.filename or 'the output'}: {err}", file=sys.stderr)
         return IO_ERROR
 
 

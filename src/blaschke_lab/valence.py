@@ -381,10 +381,7 @@ def _wave(f, ws, rs) -> list:
     """
     if len(rs) != 1:
         return _wind(f, ws, rs)
-    try:
-        return [winding_number(f, ws[0], rs[0])]
-    except Exception as err:
-        return [err]
+    return [_attempt(winding_number, f, ws[0], rs[0])]
 
 
 def _ladders(f, ws, rs, deltas) -> list:

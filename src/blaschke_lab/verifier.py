@@ -95,6 +95,11 @@ def _sample_disc(rng, radius: float) -> complex:
                    * cmath.exp(2j * math.pi * rng.uniform()))
 
 
+def _disc_samples(rng, n: int, radius: float) -> np.ndarray:
+    radii = radius * np.sqrt(rng.uniform(0, 1, n))
+    return radii * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+
+
 def _random_blaschke(rng, degree: int) -> BlaschkeProduct:
     zeros = tuple(_sample_disc(rng, 0.95) for _ in range(degree))
     lam = cmath.exp(2j * math.pi * rng.uniform())
@@ -155,6 +160,19 @@ def _forward(handle, w, degree):
                    and all(r < 1e-6 for r in report.residuals))}
 
 
+def _half_probe():
+    counts = sorted(valence_heatmap(make_half_map(), 32, 0.99).counts_present())
+    return {"counts": counts, "ok": len(counts) >= 2}
+
+
+def _scaled_exp_probe(ws):
+    f = make_scaled_exponential()
+    observed = [valence_at(f, complex(w)).value for w in ws]
+    expected = [len(scaled_exp_preimages(w)) for w in ws]
+    return {"observed": observed, "expected": expected,
+            "ok": observed == expected and len(set(observed)) >= 2}
+
+
 def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> SuiteReport:
     """Forward law: a degree-n Blaschke product takes every target in the
     disc exactly n times, by winding count and by direct preimage solving.
@@ -172,23 +190,11 @@ def check_theorem_A(seed: int, n_products: int = 100, n_targets: int = 50) -> Su
                           "w": [w.real, w.imag], "degree": degree},
                   _forward, handle, w, degree)
 
-    half_grid = valence_heatmap(make_half_map(), 32, 0.99)
-    counts = sorted(half_grid.counts_present())
-    cases.append({"case": len(cases), "kind": "half-heatmap-probe",
-                  "map": {"type": "gallery", "name": "half"},
-                  "counts": counts, "ok": len(counts) >= 2})
-
-    exp_handle = make_scaled_exponential()
-    observed = []
-    expected = []
-    for w in (1e-10, -1e-10, 0.5):
-        observed.append(valence_at(exp_handle, complex(w)).value)
-        expected.append(len(scaled_exp_preimages(w)))
-    cases.append({"case": len(cases), "kind": "scaled-exp-probe",
-                  "map": {"type": "gallery", "name": "scaled-exp"},
-                  "w": [1e-10, -1e-10, 0.5],
-                  "observed": observed, "expected": expected,
-                  "ok": observed == expected and len(set(observed)) >= 2})
+    _case(cases, {"kind": "half-heatmap-probe", "map": {"type": "gallery", "name": "half"}},
+          _half_probe)
+    ws = [1e-10, -1e-10, 0.5]
+    _case(cases, {"kind": "scaled-exp-probe", "map": {"type": "gallery", "name": "scaled-exp"},
+                  "w": ws}, _scaled_exp_probe, ws)
     return SuiteReport("theorem-a", seed, tuple(cases))
 
 
@@ -291,11 +297,11 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
 
     Each stage failure is a distinct verdict, never an exception.  The
     valence stage attaches a growth profile at the radii (0.9, 0.99, 0.999)
-    for the probe target f(0) when it fails.  The derivative stage names a
-    critical point of a candidate that carries a Blaschke product of degree
-    n >= 2, which has n - 1 of them; otherwise, or when that census fails,
-    it samples |f'| on a grid.  A bound below 1, which no non-constant map
-    meets, raises ValueError before any stage runs.
+    for the probe target f(0) when it fails.  A candidate that carries a
+    Blaschke product of degree n >= 2 has n - 1 critical points, so it
+    fails the derivative stage, where the census only names one; any other
+    candidate has |f'| sampled on a grid.  A bound below 1, which no
+    non-constant map meets, raises ValueError before any stage runs.
     """
     _check_valence_bound(valence_bound)
     mean = boundary_mean(candidate)
@@ -330,14 +336,14 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
     if b is not None and b.degree >= 2:
         try:
             c = blaschke_critical_points(b).roots[0]
-        except BlaschkeLabError:
-            pass
+        except BlaschkeLabError as err:
+            detail = (f"a degree-{b.degree} Blaschke product has n - 1 = {b.degree - 1} "
+                      f"critical points; the census that names them failed: {err}")
         else:
             _, deriv = candidate.eval(c)
-            return PipelineVerdict(
-                verdict="vanishing-derivative", boundary_mean=mean,
-                detail=(f"f' vanishes at the critical point {c.real:.6f}{c.imag:+.6f}i, "
-                        f"where |f'| = {abs(deriv):.1e}"))
+            detail = (f"f' vanishes at the critical point {c.real:.6f}{c.imag:+.6f}i, "
+                      f"where |f'| = {abs(deriv):.1e}")
+        return PipelineVerdict(verdict="vanishing-derivative", boundary_mean=mean, detail=detail)
     floor = min_abs_derivative(candidate)
     if floor <= DERIVATIVE_FLOOR:
         return PipelineVerdict(
@@ -354,9 +360,44 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
                            sup_error=sup_error)
 
 
+def _roundtrip(u):
+    # Python's abs, not np.abs: their complex moduli differ in the last bit
+    worst = max(abs(e) for e in (_slit_h_vec(_slit_g_vec(u)[0]) - u).tolist())
+    return {"max_error": worst, "ok": bool(worst < 1e-9)}
+
+
+def _non_injectivity(f, k, w):
+    u1, u2 = slit_collision_pair() if k == 2 else power_preimages(w, k)[:2]
+    v1, _ = f.eval(u1)
+    v2, _ = f.eval(u2)
+    return {"u1": [u1.real, u1.imag], "u2": [u2.real, u2.imag],
+            "separation": abs(u1 - u2), "image_distance": abs(v1 - v2),
+            "ok": abs(u1 - u2) > 0.1 and abs(v1 - v2) < 1e-9}
+
+
 def _omits_zero(f):
     profile = valence_profile(f, 0.0, default_schedule())
     return {"counts": [c for _, c in profile], "ok": all(c == 0 for _, c in profile)}
+
+
+def _membership(f, w, k):
+    kth = np.abs(w) ** (1.0 / k) * np.exp(1j * np.angle(w) / k)
+    worst = 0.0
+    covered = np.zeros(len(w), dtype=bool)
+    for j in range(k):
+        zeta = kth * np.exp(2j * math.pi * j / k)
+        mask = ~((zeta.imag == 0) & (zeta.real >= 0))  # the slit has no preimage
+        if mask.any():
+            values, _ = f.eval_many(_slit_h_vec(zeta[mask]))
+            worst = max(worst, float(np.max(np.abs(values - w[mask]))))
+            covered |= mask
+    return {"all_covered": bool(covered.all()), "max_error": worst,
+            "ok": bool(covered.all()) and worst < 1e-8}
+
+
+def _derivative_floor(f, floor_k):
+    floor = min_abs_derivative(f)
+    return {"min_abs": floor, "ok": floor > floor_k}
 
 
 def _bounded_valence(f, ws, k):
@@ -376,54 +417,23 @@ def check_theorem_3_2(k: int = 2, seed: int = 0, n_membership: int = 10000,
     f = make_slit_power(k)
     cases = []
 
-    r = 0.99 * np.sqrt(rng.uniform(0, 1, 1000))
-    th = rng.uniform(0, 2 * math.pi, 1000)
-    u = r * np.exp(1j * th)
-    # Python's abs, not np.abs: their complex moduli differ in the last bit
-    worst = max(abs(e) for e in (_slit_h_vec(_slit_g_vec(u)[0]) - u).tolist())
-    cases.append({"case": len(cases), "kind": "roundtrip", "samples": 1000,
-                  "max_error": worst, "ok": bool(worst < 1e-9)})
+    _case(cases, {"kind": "roundtrip", "samples": 1000}, _roundtrip,
+          _disc_samples(rng, 1000, 0.99))
 
-    if k == 2:
-        u1, u2 = slit_collision_pair()
-    else:
-        rng_w = np.random.default_rng(seed + 1)
-        u1, u2 = power_preimages(_sample_disc(rng_w, 0.5), k)[:2]
-    v1, _ = f.eval(u1)
-    v2, _ = f.eval(u2)
-    cases.append({"case": len(cases), "kind": "non-injectivity",
-                  "u1": [u1.real, u1.imag], "u2": [u2.real, u2.imag],
-                  "separation": abs(u1 - u2), "image_distance": abs(v1 - v2),
-                  "ok": abs(u1 - u2) > 0.1 and abs(v1 - v2) < 1e-9})
+    # k = 2 has a fixed collision pair; other exponents take two roots of a seeded target
+    _case(cases, {"kind": "non-injectivity"}, _non_injectivity, f, k,
+          _sample_disc(np.random.default_rng(seed + 1), 0.5))
 
     _case(cases, {"kind": "omits-zero"}, _omits_zero, f)
 
-    radii = np.sqrt(rng.uniform(0, 1, n_membership))
-    angles = rng.uniform(0, 2 * math.pi, n_membership)
-    w = 0.999 * radii * np.exp(1j * angles)
+    w = _disc_samples(rng, n_membership, 0.999)
     w = w[np.abs(w) > 0]
-    kth = np.abs(w) ** (1.0 / k) * np.exp(1j * np.angle(w) / k)
-    membership_err = 0.0
-    covered = np.zeros(len(w), dtype=bool)
-    for j in range(k):
-        zeta = kth * np.exp(2j * math.pi * j / k)
-        mask = ~((zeta.imag == 0) & (zeta.real >= 0))
-        if not mask.any():
-            continue
-        pre = _slit_h_vec(zeta[mask])
-        values, _ = f.eval_many(pre)
-        membership_err = max(membership_err, float(np.max(np.abs(values - w[mask]))))
-        covered |= mask
-    cases.append({"case": len(cases), "kind": "membership", "samples": int(len(w)),
-                  "all_covered": bool(covered.all()), "max_error": membership_err,
-                  "ok": bool(covered.all()) and membership_err < 1e-8})
+    _case(cases, {"kind": "membership", "samples": int(len(w))}, _membership, f, w, k)
 
     # |f'| ~ |u + i|^{2k-1} near the slit-tip boundary preimage, so the
     # positivity floor must shrink with k; the exponent keeps k=2 at 1e-6.
     floor_k = DERIVATIVE_FLOOR ** ((2 * k - 1) / 3.0)
-    floor = min_abs_derivative(f)
-    cases.append({"case": len(cases), "kind": "derivative-floor", "min_abs": floor,
-                  "floor": floor_k, "ok": floor > floor_k})
+    _case(cases, {"kind": "derivative-floor", "floor": floor_k}, _derivative_floor, f, floor_k)
 
     ws = [_sample_disc(rng, 0.9) for _ in range(n_valence)]
     _case(cases, {"kind": "valence-bound", "samples": n_valence}, _bounded_valence, f, ws, k)

@@ -295,18 +295,26 @@ def test_heatmap_pgm_stdout(capsys):
     assert "min-count=1" in err and "max-count=1" in err
 
 
-def test_heatmap_unwritable_path_exits_3(capsys):
-    code, _, err = run_cli(capsys, "heatmap", "--map", "half",
-                           "--resolution", "16", "--radius", "0.9",
-                           "--out", "/nonexistent-dir/grid.csv")
+def never_called(*args, **kwargs):
+    raise AssertionError("the output path is opened before any work")
+
+
+def test_heatmap_unwritable_path_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "valence_heatmap", never_called)
+    out_path = tmp_path / "missing" / "grid.csv"
+    code, out, err = run_cli(capsys, "heatmap", "--map", "half",
+                             "--resolution", "16", "--radius", "0.9", "--out", str(out_path))
     assert code == 3
-    assert "cannot write" in err
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
-def test_verify_unwritable_path_exits_3(tmp_path, capsys):
+def test_verify_unwritable_path_exits_3(tmp_path, monkeypatch, capsys):
+    cli.build_parser()  # the cached parser reads the suite's own signature
+    monkeypatch.setattr(verifier, "check_theorem_A", never_called)
     out_path = tmp_path / "missing" / "cases.jsonl"
-    code, out, err = run_cli(capsys, "verify", "theorem-a", "--seed", "1", "--cases", "1",
-                             "--targets", "1", "--out", str(out_path))
+    code, out, err = run_cli(capsys, "verify", "theorem-a", "--seed", "1",
+                             "--out", str(out_path))
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: cannot write {out_path}: ")

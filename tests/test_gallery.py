@@ -215,6 +215,15 @@ def test_atomic_preimage_count_rejects_radius_one():
         atomic_preimage_count(1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_scaled_exponential(epsilon=0), "epsilon and c must be positive"),
+    (lambda: atomic_preimage_count(0.5, 0), r"target must satisfy 0 < \|w\| < 1"),
+], ids=["scaled-exp-epsilon", "atomic-target"])
+def test_out_of_range_gallery_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_frostman_zero_shift_is_negation():
     S = make_atomic_inner()
     F0 = frostman_shift(S, 0.0)

@@ -4,7 +4,7 @@ package, the one chain rule of the package is the only map evaluation
 inside a handle, only the CLI reads a clock, one function iterates
 Aberth sweeps, with no ``np.polyval`` anywhere, one function walks the
 radii of a valence scan, and one function writes a failing suite case,
-with no suite case numbered by a literal.
+with no suite case numbered by a literal and none built outside it.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -191,14 +191,34 @@ def literal_case_numbers(source: str) -> list:
             and isinstance(value, ast.Constant)]
 
 
+def case_writers(source: str) -> list:
+    """The function (or method) around each write to a list named ``cases``
+    (an append, extend or insert call, or an augmented assignment) and
+    around each ``"case"`` key of a dict display or a keyword argument."""
+    def is_cases(node):
+        return isinstance(node, ast.Name) and node.id == "cases"
+    return sorted(top.name for top in top_functions(ast.parse(source))
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("append", "extend", "insert") and is_cases(node.func.value)
+                  or isinstance(node, ast.AugAssign) and is_cases(node.target)
+                  or isinstance(node, ast.Dict)
+                  and any(isinstance(key, ast.Constant) and key.value == "case"
+                          for key in node.keys)
+                  or isinstance(node, ast.keyword) and node.arg == "case")
+
+
 def test_the_checks_see_an_error_field_and_a_literal_case_number():
     source = ("def run(cases):\n    try:\n        pass\n    except E as err:\n"
               "        cases.append({'case': 0, 'ok': False, 'error': str(err)})\n"
               "def patch(record):\n    record['error'] = 'x'\n    record.update(error='y')\n"
               "def fine(cases, record):\n    cases.append({'case': len(cases), 'errors': 0})\n"
-              "    return record['error']\n")
+              "    return record['error']\n"
+              "def more(cases, rows):\n    cases += rows\n    cases.extend(rows)\n"
+              "    rows.append({'kind': 'x'})\n    return dict(case=1), {'cases': 2}\n")
     assert error_writers(source) == ["patch", "patch", "run"]
     assert literal_case_numbers(source) == [0]
+    assert case_writers(source) == ["fine", "fine", "more", "more", "more", "run", "run"]
 
 
 def test_one_function_writes_a_failing_case_and_no_suite_numbers_one():
@@ -207,6 +227,8 @@ def test_one_function_writes_a_failing_case_and_no_suite_numbers_one():
                for name in error_writers((PACKAGE / module).read_text())]
     assert writers == ["verifier.py:_case"]
     assert literal_case_numbers((PACKAGE / "verifier.py").read_text()) == []
+    # and it is the one function that adds a case to a suite or writes a case number
+    assert case_writers((PACKAGE / "verifier.py").read_text()) == ["_case", "_case"]
 
 
 def unread_private_names(sources: dict) -> list:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from blaschke_lab.errors import (
+    BoundaryAmbiguityError,
     DiscPreservationError,
     NotAnAutomorphismError,
+    PoleError,
 )
 from blaschke_lab.gallery import frostman_shift, make_half_map
 from blaschke_lab.maps import (
@@ -314,6 +316,32 @@ def test_preimages_reject_exterior_target():
     b = BlaschkeProduct(lam=1.0 + 0j, zeros=(0j,))
     with pytest.raises(ValueError):
         blaschke_preimages(b, 1.5)
+
+
+CONSTANT = BlaschkeProduct(lam=1j, zeros=())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: blaschke_preimages(CONSTANT, 0.5), "preimages need degree >= 1"),
+    (lambda: blaschke_critical_points(CONSTANT), "critical census needs degree >= 1"),
+    (lambda: blaschke_compose(BlaschkeProduct(1 + 0j, (0j,)), CONSTANT),
+     "composition needs both degrees >= 1"),
+], ids=["preimages", "critical-points", "compose"])
+def test_solvers_reject_a_constant_product(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_mobius_eval_at_its_pole_raises():
+    with pytest.raises(PoleError, match="hits the pole of the Mobius map"):
+        mobius_eval(MobiusAutomorphism(alpha=0.5 + 0j, lam=1 + 0j), 2)
+
+
+def test_a_preimage_on_the_boundary_annulus_is_ambiguous():
+    # z = w is the one preimage of the identity, 1e-12 inside the circle
+    with pytest.raises(BoundaryAmbiguityError, match=r"sit on the \|z\| = 1 annulus") as info:
+        blaschke_preimages(BlaschkeProduct(lam=1 + 0j, zeros=(0j,)), 1 - 1e-12)
+    assert [abs(1 - abs(r)) < 1e-9 for r in info.value.roots] == [True]
 
 
 def test_critical_points_square():

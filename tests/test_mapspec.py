@@ -85,6 +85,12 @@ def test_bad_field_names_path():
         parse_map_spec({"type": "blaschke", "lambda": [1, 0],
                         "zeros": [[0, 0], [7]]})
     assert info.value.path == "$.zeros[1]"
+    with pytest.raises(MapSpecError, match=r"list of \[re, im\] pairs") as info:
+        parse_map_spec({"type": "blaschke", "lambda": [1, 0], "zeros": 3})
+    assert info.value.path == "$.zeros"
+    with pytest.raises(MapSpecError, match="params must be an object") as info:
+        parse_map_spec({"type": "gallery", "name": "half", "params": []})
+    assert info.value.path == "$.params"
 
 
 def test_invariant_violation_is_spec_error():

@@ -7,7 +7,7 @@ import pytest
 
 from blaschke_lab import valence, verifier
 from blaschke_lab.cli import main
-from blaschke_lab.errors import ContourProximityError, SolverFailure
+from blaschke_lab.errors import ContourProximityError, DomainError, SolverFailure
 from blaschke_lab.gallery import (
     frostman_shift,
     make_atomic_inner,
@@ -125,6 +125,39 @@ def test_a_failing_composition_moves_no_later_case(monkeypatch):
     assert report.cases[1:] == clean.cases[1:]
 
 
+# name in verifier -> (a small suite run, the kinds of the cases that call it)
+FAILING_CHECK = {
+    "valence_heatmap": (lambda: check_theorem_A(1, 1, 2), ["half-heatmap-probe"]),
+    "scaled_exp_preimages": (lambda: check_theorem_A(1, 1, 2), ["scaled-exp-probe"]),
+    "_slit_g_vec": (lambda: check_theorem_3_2(2, 0, 50, 3), ["roundtrip"]),
+    "slit_collision_pair": (lambda: check_theorem_3_2(2, 0, 50, 3), ["non-injectivity"]),
+    "power_preimages": (lambda: check_theorem_3_2(3, 0, 50, 3), ["non-injectivity"]),
+    "_slit_h_vec": (lambda: check_theorem_3_2(2, 0, 50, 3), ["roundtrip", "membership"]),
+    "min_abs_derivative": (lambda: check_theorem_3_2(2, 0, 50, 3), ["derivative-floor"]),
+}
+
+
+@pytest.mark.parametrize("name", FAILING_CHECK)
+def test_an_error_in_a_probe_or_check_becomes_a_failing_case(monkeypatch, name):
+    check, kinds = FAILING_CHECK[name]
+    clean = check()
+
+    def failing(*args, **kwargs):
+        raise DomainError(f"{name} failed")
+
+    monkeypatch.setattr(verifier, name, failing)
+    report = check()
+    # the failing cases keep their number and record, and the suite goes on
+    assert report.failures == [{"case": c["case"], "kind": c["kind"], "ok": False,
+                                "error": f"{name} failed",
+                                **{key: c[key] for key in ("map", "w", "samples", "floor")
+                                   if key in c}}
+                               for c in clean.cases if c["kind"] in kinds]
+    # every other case draws the same inputs and gives the same record
+    assert [c for c in report.cases if c["kind"] not in kinds] == \
+        [c for c in clean.cases if c["kind"] not in kinds]
+
+
 def test_suites_are_pure():
     assert check_theorem_B(1, 5) == check_theorem_B(1, 5)
     assert check_theorem_C(1, 3, 2) == check_theorem_C(1, 3, 2)
@@ -216,6 +249,10 @@ def test_pipeline_verdict_vanishing_derivative():
     double = blaschke_handle(BlaschkeProduct(lam=1 + 0j, zeros=(a, a)))
     verdict = check_theorem_3_1(double, valence_bound=2)
     assert verdict.verdict == "vanishing-derivative"
+    # a candidate without structure is judged by the derivative grid
+    verdict = check_theorem_3_1(opaque(double), valence_bound=2)
+    assert verdict.verdict == "vanishing-derivative"
+    assert verdict.detail == "min |f'| on the probe grid is 0.000e+00"
 
 
 # a degree-2 product whose one critical point falls between the points of
@@ -240,16 +277,23 @@ def test_pipeline_reports_a_valence_above_the_bound_with_its_profile():
     assert verdict.profile == ((0.9, 2), (0.99, 2), (0.999, 2))
 
 
-def test_pipeline_falls_back_to_the_grid_when_the_census_fails(monkeypatch):
+def test_a_failing_census_still_gives_a_vanishing_derivative(monkeypatch):
+    # a degree-12 product whose census fails and whose 11 critical points
+    # all miss the derivative grid
+    degree_12 = blaschke_handle(verifier._random_blaschke(np.random.default_rng(1), 12))
+    verdict = check_theorem_3_1(degree_12, valence_bound=12)
+    assert verdict.verdict == "vanishing-derivative"
+    assert verdict.detail.startswith("a degree-12 Blaschke product has n - 1 = 11 critical "
+                                     "points; the census that names them failed: ")
+
     def failing(b):
         raise SolverFailure("census did not converge")
 
     monkeypatch.setattr(verifier, "blaschke_critical_points", failing)
-    a = complex(derivative_grid()[1234])
-    double = blaschke_handle(BlaschkeProduct(lam=1 + 0j, zeros=(a, a)))
-    verdict = check_theorem_3_1(double, valence_bound=2)
+    verdict = check_theorem_3_1(blaschke_handle(DEGREE_TWO), valence_bound=2)
     assert verdict.verdict == "vanishing-derivative"
-    assert verdict.detail.startswith("min |f'| on the probe grid is ")
+    assert verdict.detail.endswith("1 critical points; the census that names them failed: "
+                                   "census did not converge")
 
 
 def test_pipeline_verdict_valence_scan_error():
