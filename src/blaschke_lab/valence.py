@@ -384,26 +384,28 @@ def _wave(f, ws, rs) -> list:
     return [_attempt(winding_number, f, ws[0], rs[0])]
 
 
-def _ladders(f, ws, rs, deltas) -> list:
-    """The jitter ladder r, r + k*delta (k in PERTURB_STEPS) of each contour.
+def _ladders(f, ws, rs) -> list:
+    """The jitter ladder r, r + k*delta of each contour, k in PERTURB_STEPS,
+    with delta = PERTURB_BASE * (1 - r) worked out from r first.
 
-    All ladders climb together, one ``_wave`` per rung; rungs outside
-    (0, 1 - 1e-12) are skipped.  Each entry is ``(radius, outcome)`` for
-    the first rung whose outcome is not a ContourProximityError, or
-    ``(None, None)`` when every rung is.
+    All ladders climb together, one ``_wave`` per rung.  Since |k| *
+    PERTURB_BASE < 1/2, every rung lies below 1: only a rung at or below 0
+    is skipped, and r itself is always tried.  Each entry is ``(radius,
+    outcome)`` for the first rung whose outcome is not a
+    ContourProximityError or, when every rung's is, ``(r, r's own error)``.
     """
-    out = [(None, None)] * len(rs)
+    out = list(zip(rs, _wave(f, ws, rs)))
     pending = range(len(rs))
-    for k in (0,) + PERTURB_STEPS:
-        rung = [j for j in pending if 0.0 < rs[j] + k * deltas[j] < 1.0 - 1e-12]
-        radii = [rs[j] + k * deltas[j] for j in rung]
-        outcomes = _wave(f, [ws[j] for j in rung], radii)
-        for j, r, outcome in zip(rung, radii, outcomes):
-            if not isinstance(outcome, ContourProximityError):
-                out[j] = (r, outcome)
-        pending = [j for j in pending if out[j][0] is None]
+    for k in PERTURB_STEPS:
+        pending = [j for j in pending if isinstance(out[j][1], ContourProximityError)]
         if not pending:
             break
+        rung = [(j, r) for j in pending
+                if (r := rs[j] + k * (PERTURB_BASE * (1.0 - rs[j]))) > 0.0]
+        outcomes = _wave(f, [ws[j] for j, _ in rung], [r for _, r in rung])
+        for (j, r), outcome in zip(rung, outcomes):
+            if not isinstance(outcome, ContourProximityError):
+                out[j] = (r, outcome)
     return out
 
 
@@ -415,16 +417,16 @@ def _attempt(fn, *args):
         return err
 
 
-def _report(f, w, radii, deltas, rungs) -> ValenceReport:
+def _report(f, w, radii, rungs) -> ValenceReport:
     """The scan of one target, given the ladders of its first radii; each
     later radius gets its ladder when the walk reaches it."""
     counts, used, residuals = [], [], []
     failed_radius, stabilized = None, False
     for j, r in enumerate(radii):
         if j == len(rungs):
-            rungs += _ladders(f, [w], [r], [deltas[j]])
+            rungs += _ladders(f, [w], [r])
         radius, outcome = rungs[j]
-        if outcome is None:
+        if isinstance(outcome, ContourProximityError):
             failed_radius = r
             break
         count, residual = _unwrap(outcome)
@@ -449,14 +451,12 @@ def _valences(f, ws, schedule=None) -> list:
     ws = [require_finite(w, "w") for w in ws]
     radii = default_schedule() if schedule is None else tuple(schedule)
     _check_radii(radii)
-    deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
     # the stop rule can fire first STOP_RUN - 1 radii after the first radius
     # at or beyond STOP_MIN_RADIUS
     first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
                          if r >= STOP_MIN_RADIUS), len(radii))]
-    rungs = iter(_ladders(f, [w for w in ws for _ in first], first * len(ws),
-                          deltas[:len(first)] * len(ws)))
-    return [_attempt(_report, f, w, radii, deltas, [next(rungs) for _ in first])
+    rungs = iter(_ladders(f, [w for w in ws for _ in first], first * len(ws)))
+    return [_attempt(_report, f, w, radii, [next(rungs) for _ in first])
             for w in ws]
 
 
@@ -474,8 +474,8 @@ def _scan(f, ws):
 def valence_at(f, w: complex, schedule=None) -> ValenceReport:
     """Valence report for f at w over an increasing radius schedule.
 
-    Contour-proximity failures perturb the radius by +-1e-4 * 2^-j (up to
-    five jitters).  The scan stops early once ``STOP_RUN`` consecutive
+    Contour-proximity failures perturb the radius r by +-1e-4 * (1 - r)
+    (up to five jitters).  The scan stops early once ``STOP_RUN`` consecutive
     counts agree at radii beyond ``STOP_MIN_RADIUS``; agreement closer to
     the centre proves nothing because preimages may still hide outside.
     ``stabilized`` is true exactly when this stop rule fired.  This is the
@@ -485,12 +485,12 @@ def valence_at(f, w: complex, schedule=None) -> ValenceReport:
 
 
 def valence_profile(f, w: complex, radii) -> list:
-    """Raw per-radius winding counts, no early stopping, no jitter."""
+    """Per-radius winding counts, no early stopping: each radius climbs the
+    jitter ladder of ``valence_at``, and its pair holds the radius counted at."""
     w = require_finite(w, "w")
     radii = tuple(radii)
     _check_radii(radii)
-    outcomes = _wave(f, [w] * len(radii), radii)
-    return [(r, _unwrap(outcome)[0]) for r, outcome in zip(radii, outcomes)]
+    return [(r, _unwrap(outcome)[0]) for r, outcome in _ladders(f, [w] * len(radii), radii)]
 
 
 def _check_resolution(resolution):
@@ -510,7 +510,6 @@ def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapG
     margin = radius - 1e-3
     xs = _cell_axis(resolution)
     ys = -_cell_axis(resolution)  # top row first
-    delta = PERTURB_BASE * (1.0 - radius)
 
     inside = np.zeros(resolution * resolution, dtype=bool)
     ws = []
@@ -518,17 +517,17 @@ def valence_heatmap(f, resolution: int, radius: float, threads=None) -> HeatmapG
         if abs(w) < margin:
             inside[i] = True
             ws.append(w)
-    rs, deltas = [radius] * len(ws), [delta] * len(ws)
+    rs = [radius] * len(ws)
     # the first cell goes alone: a map that raises there for another reason
     # than the contour (one that leaves the disc, say) fails the heatmap
     # before any other cell is computed
-    ladders = _ladders(f, ws[:1], rs[:1], deltas[:1])
+    ladders = _ladders(f, ws[:1], rs[:1])
     for _, outcome in ladders:
-        if not isinstance(outcome, (tuple, type(None)) + CELL_ERRORS):
+        if not isinstance(outcome, (tuple,) + CELL_ERRORS):
             raise outcome
-    ladders += _ladders(f, ws[1:], rs[1:], deltas[1:])
+    ladders += _ladders(f, ws[1:], rs[1:])
     cells = np.full(resolution * resolution, OUTSIDE_MARK, dtype=np.int16)
-    cells[inside] = [ERROR_MARK if outcome is None or isinstance(outcome, CELL_ERRORS)
+    cells[inside] = [ERROR_MARK if isinstance(outcome, CELL_ERRORS)
                      else _unwrap(outcome)[0] for _, outcome in ladders]
     cells = cells.reshape(resolution, resolution)
     return HeatmapGrid(resolution=resolution, radius=radius, cells=cells)

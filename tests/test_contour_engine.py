@@ -478,11 +478,12 @@ def test_two_step_tests_flag_what_four_did_in_engine_runs(monkeypatch):
     assert len(fired) > 300 and jumps > 10000 and dips > 100
 
 
-def _reference_cell(f, w, radius, delta):
+def _reference_cell(f, w, radius):
     """The jitter ladder of one heatmap cell, one contour at a time."""
+    delta = PERTURB_BASE * (1.0 - radius)
     for k in (0,) + PERTURB_STEPS:
         r = radius + k * delta
-        if not 0.0 < r < 1.0 - 1e-12:
+        if r <= 0.0:
             continue
         try:
             return winding_number(f, w, r)[0]
@@ -500,8 +501,7 @@ def _reference_heatmap(f, resolution, radius):
         for col, x in enumerate(axis):
             w = complex(x, y)
             if abs(w) < radius - 1e-3:
-                cells[row, col] = _reference_cell(f, w, radius,
-                                                  PERTURB_BASE * (1.0 - radius))
+                cells[row, col] = _reference_cell(f, w, radius)
     return cells
 
 
@@ -550,12 +550,12 @@ def _reference_valence(f, w, schedule=None):
     radii = default_schedule() if schedule is None else tuple(schedule)
     counts, used, residuals = [], [], []
     stabilized, failed_radius = False, None
-    for j, r in enumerate(radii, start=1):
-        delta = PERTURB_BASE * 2.0 ** -j
+    for r in radii:
+        delta = PERTURB_BASE * (1.0 - r)
         found = None
         for k in (0,) + PERTURB_STEPS:
             radius = r + k * delta
-            if not 0.0 < radius < 1.0 - 1e-12:
+            if radius <= 0.0:
                 continue
             try:
                 found = winding_number(f, w, radius)
@@ -616,8 +616,14 @@ def test_valence_at_matches_the_one_contour_scan_on_failures(monkeypatch):
     atomic = make_atomic_inner()
     target = math.exp(-1)
     assert _same_report(CUBE, 0.125).radii[0] != 0.5
-    # rungs at or beyond 1 - 1e-12 are skipped
-    assert _same_report(CUBE, 0.1, (0.5, 1.0 - 1e-13)).radii[1] < 1.0 - 1e-5
+    # a radius near 1 is counted at the radius asked
+    assert _same_report(CUBE, 0.1, (0.5, 1.0 - 1e-13)).radii[1] == 1.0 - 1e-13
+    # or fails there, with no count taken at a radius that was not asked
+    assert isinstance(_same_report(atomic, 0.3, (0.5, 1.0 - 1e-13)), RefinementOverflowError)
+    # the three preimages of w lie on r = 0.99999, 1e-5 from the circle: only
+    # a jitter well below 1e-5 counts them all
+    near = _same_report(CUBE, 0.999970000299999, (0.99999,))
+    assert (near.radii, near.value) == ((0.99999 + PERTURB_BASE * (1.0 - 0.99999),), 3)
     # every rung of the first ladder has |f - w| = 0
     assert _same_report(_constant(0.3 + 0.1j), 0.3 + 0.1j).failed_radius == 0.5
     # the second radius of the first wave is not finite
@@ -634,17 +640,16 @@ def _per_target_valence(f, w, schedule=None):
     w = require_finite(w, "w")
     radii = default_schedule() if schedule is None else tuple(schedule)
     valence._check_radii(radii)
-    deltas = [PERTURB_BASE * 2.0 ** -j for j in range(1, len(radii) + 1)]
     first = radii[:next((i + STOP_RUN for i, r in enumerate(radii)
                          if r >= STOP_MIN_RADIUS), len(radii))]
-    rungs = valence._ladders(f, [w] * len(first), first, deltas)
+    rungs = valence._ladders(f, [w] * len(first), first)
     counts, used, residuals = [], [], []
     failed_radius, stabilized = None, False
     for j, r in enumerate(radii):
         if j == len(rungs):
-            rungs += valence._ladders(f, [w], [r], [deltas[j]])
+            rungs += valence._ladders(f, [w], [r])
         radius, outcome = rungs[j]
-        if outcome is None:
+        if isinstance(outcome, ContourProximityError):
             failed_radius = r
             break
         count, residual = valence._unwrap(outcome)

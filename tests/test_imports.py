@@ -3,8 +3,9 @@ module-level private name and UPPER_CASE constant is read somewhere in the
 package, the one chain rule of the package is the only map evaluation
 inside a handle, only the CLI reads a clock, one function iterates
 Aberth sweeps, with no ``np.polyval`` anywhere, one function walks the
-radii of a valence scan, and one function writes a failing suite case,
-with no suite case numbered by a literal and none built outside it.
+radii of a valence scan, one function works out its jitter ladders, and
+one function writes a failing suite case, with no suite case numbered by
+a literal and none built outside it.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -168,6 +169,28 @@ def test_one_function_walks_the_radii_of_a_valence_scan():
     loops = [f"{module}:{name}" for module in MODULES
              for name in stop_rule_loops((PACKAGE / module).read_text())]
     assert loops == ["valence.py:_report"]
+
+
+def jitter_readers(source: str) -> list:
+    """The function (or method) around each read of ``PERTURB_BASE`` or
+    ``PERTURB_STEPS``, once for each of the two that it reads."""
+    return sorted(top.name for top in top_functions(ast.parse(source))
+                  for name in ("PERTURB_BASE", "PERTURB_STEPS") if reads(top, name))
+
+
+def test_the_check_sees_a_jitter_constant():
+    source = ("def ladder(rs):\n"
+              "    return [r + k * PERTURB_BASE for k in valence.PERTURB_STEPS for r in rs]\n"
+              "def delta(r):\n    return PERTURB_BASE * (1 - r)\n"
+              "class S:\n    def steps(self):\n        from .valence import PERTURB_STEPS\n"
+              "        return len(PERTURB_STEPS)\n"
+              "def fine(r):\n    return r * PERTURB\n")
+    assert jitter_readers(source) == ["delta", "ladder", "ladder", "steps"]
+
+
+def test_one_function_works_out_the_jitter_ladders():
+    # one jitter rule: each rung worked out from its own radius
+    assert jitter_readers((PACKAGE / "valence.py").read_text()) == ["_ladders", "_ladders"]
 
 
 def error_writers(source: str) -> list:

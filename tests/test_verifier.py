@@ -277,6 +277,19 @@ def test_pipeline_reports_a_valence_above_the_bound_with_its_profile():
     assert verdict.profile == ((0.9, 2), (0.99, 2), (0.999, 2))
 
 
+@pytest.mark.parametrize("zero, profile", [
+    (0.9, ((0.90001, 2), (0.99, 2), (0.999, 2))),
+    (0.99, ((0.9, 1), (0.990001, 2), (0.999, 2))),
+])
+def test_a_profile_radius_through_a_zero_is_counted_at_its_jitter(zero, profile):
+    # f(0) = 0, so the profile's contour at r = zero passes through a
+    # preimage of the probe target; it climbs the jitter ladder of the scan
+    f = blaschke_handle(BlaschkeProduct(lam=1 + 0j, zeros=(0j, complex(zero))))
+    verdict = check_theorem_3_1(f, valence_bound=1)
+    assert verdict.verdict == "valence-unbounded"
+    assert verdict.profile == profile
+
+
 def test_a_failing_census_still_gives_a_vanishing_derivative(monkeypatch):
     # a degree-12 product whose census fails and whose 11 critical points
     # all miss the derivative grid
