@@ -171,11 +171,13 @@ def cmd_eval(args) -> int:
 
 def cmd_valence(args) -> int:
     report = valence_at(args.map, args.w, schedule=args.schedule)
+    def radius(r):  # 12 digits, or every digit where those would read 1
+        return repr(r) if f"{r:.12g}" == "1" else f"{r:.12g}"
     print(f"w = {format_complex(args.w)}")
     for r, count, residual in zip(report.radii, report.counts, report.residuals):
-        print(f"r={r:.12g} count={count} residual={residual:.3e}")
+        print(f"r={radius(r)} count={count} residual={residual:.3e}")
     if report.failed_radius is not None:
-        print(f"failed-radius = {report.failed_radius:.12g}")
+        print(f"failed-radius = {radius(report.failed_radius)}")
     print(f"value = {report.value}")
     print(f"stabilized = {'true' if report.stabilized else 'false'}")
     return 0

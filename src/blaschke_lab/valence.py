@@ -493,6 +493,19 @@ def valence_profile(f, w: complex, radii) -> list:
     return [(r, _unwrap(outcome)[0]) for r, outcome in _ladders(f, [w] * len(radii), radii)]
 
 
+class DerivativeView:
+    """f', to count its zeros, and its central difference with step h, which
+    feeds only the speed test.  Not a map handle: |f'| may exceed 1."""
+
+    def __init__(self, f, h: float):
+        self.f, self.h = f, h
+
+    def eval_many(self, z):
+        n, h = len(z), self.h
+        _, derivs = self.f.eval_many(np.concatenate([z, z + h, z - h]))
+        return derivs[:n], (derivs[n:2 * n] - derivs[2 * n:]) / (2.0 * h)
+
+
 def _check_resolution(resolution):
     if not 16 <= resolution <= 4096:
         raise ValueError("resolution must lie in [16, 4096]")

@@ -42,8 +42,8 @@ from .maps import (
     mobius_recover,
     sunflower_grid,
 )
-from .valence import (_scan, _unwrap, default_schedule, valence_at, valence_heatmap,
-                      valence_profile)
+from .valence import (DerivativeView, _scan, _unwrap, default_schedule, valence_at,
+                      valence_heatmap, valence_profile)
 
 INNER_MEAN_THRESHOLD = 0.99
 INNER_PROBE_RADIUS = 1.0 - 1e-6
@@ -116,21 +116,6 @@ def boundary_mean(f: DiscMapHandle) -> float:
     theta = 2.0 * math.pi * (np.arange(BOUNDARY_SAMPLES) + 0.5) / BOUNDARY_SAMPLES
     values, _ = f.eval_many(INNER_PROBE_RADIUS * np.exp(1j * theta))
     return float(np.mean(np.abs(values)))
-
-
-def derivative_grid() -> np.ndarray:
-    """Deterministic 10^4-point polar grid; the angle count is kept coarse
-    so boundary-contact points of slit-type maps (where f' decays cubically)
-    fall midway between spokes instead of on one."""
-    radii = (DERIVATIVE_GRID_RADIUS * (np.arange(DERIVATIVE_GRID_RADII) + 0.5)
-             / DERIVATIVE_GRID_RADII)
-    angles = 2.0 * math.pi * np.arange(DERIVATIVE_GRID_ANGLES) / DERIVATIVE_GRID_ANGLES
-    return (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-
-
-def min_abs_derivative(f: DiscMapHandle) -> float:
-    _, derivs = f.eval_many(derivative_grid())
-    return float(np.min(np.abs(derivs)))
 
 
 def _check_sizes(*sizes):
@@ -297,10 +282,10 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
 
     Each stage failure is a distinct verdict, never an exception.  The
     valence stage attaches a growth profile at the radii (0.9, 0.99, 0.999)
-    for the probe target f(0) when it fails.  A candidate that carries a
-    Blaschke product of degree n >= 2 has n - 1 critical points, so it
-    fails the derivative stage, where the census only names one; any other
-    candidate has |f'| sampled on a grid.  A bound below 1, which no
+    for the probe target f(0) when it fails.  For every candidate the
+    derivative stage counts the zeros of f' inside the largest radius the
+    scan reached, by the winding of f' about 0: a count of 1 or more, or one
+    that fails, gives ``vanishing-derivative``.  A bound below 1, which no
     non-constant map meets, raises ValueError before any stage runs.
     """
     _check_valence_bound(valence_bound)
@@ -316,6 +301,7 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
                    f"though its mean boundary modulus is {mean:.4f}")
 
     # the first failing target decides; _scan computes none past its chunk
+    reached = 0.0
     for w, outcome in _scan(candidate, list(sunflower_grid(100, 0.9))):
         if isinstance(outcome, BlaschkeLabError):
             return PipelineVerdict(
@@ -331,24 +317,19 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
                 detail=(f"valence at w={w:.4f} "
                         + ("did not stabilize" if not report.stabilized
                            else f"is {report.value} > bound {valence_bound}")))
+        reached = max(reached, report.radii[-1])
 
-    b = candidate.blaschke
-    if b is not None and b.degree >= 2:
-        try:
-            c = blaschke_critical_points(b).roots[0]
-        except BlaschkeLabError as err:
-            detail = (f"a degree-{b.degree} Blaschke product has n - 1 = {b.degree - 1} "
-                      f"critical points; the census that names them failed: {err}")
-        else:
-            _, deriv = candidate.eval(c)
-            detail = (f"f' vanishes at the critical point {c.real:.6f}{c.imag:+.6f}i, "
-                      f"where |f'| = {abs(deriv):.1e}")
-        return PipelineVerdict(verdict="vanishing-derivative", boundary_mean=mean, detail=detail)
-    floor = min_abs_derivative(candidate)
-    if floor <= DERIVATIVE_FLOOR:
+    # the winding of f' about 0 on |z| = r counts the critical points inside r
+    view = DerivativeView(candidate, 1e-4 * (1.0 - reached))
+    try:
+        (r, zeros), = valence_profile(view, 0.0, (reached,))
+    except BlaschkeLabError as err:
         return PipelineVerdict(
             verdict="vanishing-derivative", boundary_mean=mean,
-            detail=f"min |f'| on the probe grid is {floor:.3e}")
+            detail=f"counting the zeros of f' in |z| < {reached:.12g} failed: {err}")
+    if zeros:
+        return PipelineVerdict(verdict="vanishing-derivative", boundary_mean=mean,
+                               detail=f"f' has {zeros} zeros in |z| < {r:.12g}")
 
     try:
         _, sup_error = mobius_recover(candidate)
@@ -396,7 +377,13 @@ def _membership(f, w, k):
 
 
 def _derivative_floor(f, floor_k):
-    floor = min_abs_derivative(f)
+    # a fixed 10^4-point polar grid; its angle count is coarse so that boundary
+    # contacts of slit-type maps (f' decays cubically there) fall between spokes
+    radii = (DERIVATIVE_GRID_RADIUS * (np.arange(DERIVATIVE_GRID_RADII) + 0.5)
+             / DERIVATIVE_GRID_RADII)
+    angles = 2.0 * math.pi * np.arange(DERIVATIVE_GRID_ANGLES) / DERIVATIVE_GRID_ANGLES
+    _, derivs = f.eval_many((radii[:, None] * np.exp(1j * angles[None, :])).ravel())
+    floor = float(np.min(np.abs(derivs)))
     return {"min_abs": floor, "ok": floor > floor_k}
 
 

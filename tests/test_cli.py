@@ -145,6 +145,12 @@ def test_valence_custom_schedule(capsys):
     assert code == 0
     assert "value = 15" in out
     assert "stabilized = false" in out
+    # a radius whose 12 significant digits read 1 is printed in full
+    code, out, _ = run_cli(capsys, "valence",
+                           "--map", '{"type":"blaschke","lambda":[1,0],"zeros":[[0,0],[0,0],[0,0]]}',
+                           "--w", "0.3", "--schedule", "0.5,0.9999999999999")
+    assert code == 0
+    assert "\nr=0.9999999999999 count=3 " in out
 
 
 @pytest.mark.parametrize("schedule,message", [
@@ -261,6 +267,11 @@ def test_valence_reports_the_failed_radius_of_a_constant_map(capsys):
                            "--w", "1")
     assert code == 0
     assert out == "w = 1+0i\nfailed-radius = 0.5\nvalue = 0\nstabilized = false\n"
+    code, out, _ = run_cli(capsys, "valence",
+                           "--map", '{"type":"blaschke","lambda":[1,0],"zeros":[]}',
+                           "--w", "1", "--schedule", "0.9999999999999")
+    assert code == 0
+    assert out.startswith("w = 1+0i\nfailed-radius = 0.9999999999999\n")
 
 
 def test_an_escaping_library_error_exits_1(monkeypatch, capsys):
@@ -562,7 +573,7 @@ def test_verify_pipeline_names_the_critical_point_of_a_blaschke_candidate(capsys
     assert code == 0
     case = json.loads(out.splitlines()[0])
     assert case["verdict"] == "vanishing-derivative"
-    assert "critical point 0.032369+0.237374i" in case["detail"]
+    assert case["detail"] == "f' has 1 zeros in |z| < 0.999938964844"
 
 
 def test_verify_hurwitz_demo_csv(tmp_path, capsys):

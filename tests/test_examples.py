@@ -10,8 +10,9 @@ an optional trailing ``# ...`` note, and the ``# -> ...`` or ``# summary:
 - each ``key = value`` of a trailing note, e.g. ``value = 0``, appears too;
 - each ``key=value`` of a ``# summary:`` line appears in the heatmap summary.
 
-The verify examples are left out: ``verify theorem-a --seed 1`` alone runs
-5,002 cases, and ``test_acceptance.py`` already runs that suite at seed 1.
+The examples of the verify section are left out: ``verify theorem-a --seed
+1`` alone runs 5,002 cases, and ``test_acceptance.py`` already runs that
+suite at seed 1.  A verify example in a section of its own is run.
 """
 
 import re
@@ -26,19 +27,23 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "EXAMPLES.md"
 COMMANDS = ("eval", "valence", "heatmap", "gallery")
 
 
-def _examples():
-    """(command line, claim lines) for each example of COMMANDS, in order."""
+def _examples(keep):
+    """(command line, claim lines) for each example whose section heading and
+    command ``keep(heading, command)`` takes, in order."""
     examples = []
+    heading = ""
     lines = iter(EXAMPLES.read_text(encoding="utf-8").splitlines())
     for line in lines:
-        if line.startswith("blaschke-lab "):
+        if line.startswith("## "):
+            heading = line[3:]
+        elif line.startswith("blaschke-lab "):
             while line.endswith("\\"):
                 line = line[:-1] + next(lines).strip()
-            examples.append((line, []))
+            examples.append((heading, line, []))
         elif line.startswith(("# -> ", "# summary: ")):
-            examples[-1][1].append(line)
-    return [(line, claims) for line, claims in examples
-            if line.split()[1] in COMMANDS]
+            examples[-1][2].append(line)
+    return [(line, claims) for heading, line, claims in examples
+            if keep(heading, line.split()[1])]
 
 
 def _pieces(line, claims):
@@ -64,7 +69,10 @@ def _appears(piece, text):
     return re.search(re.escape(piece) + tail, text) is not None
 
 
-EXAMPLE_CASES = _examples()
+EXAMPLE_CASES = _examples(lambda heading, command: command in COMMANDS)
+# verify examples outside the verify section, whose suite runs are left out
+PIPELINE_CASES = _examples(lambda heading, command:
+                           command == "verify" and not heading.startswith("verify"))
 
 
 def test_the_examples_are_found():
@@ -77,8 +85,23 @@ def test_the_examples_are_found():
                               enumerate(EXAMPLE_CASES)])
 def test_an_example_does_what_it_says(line, claims, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # heatmap examples write their --out file here
+    _check_example(line, claims, capsys)
+
+
+def _check_example(line, claims, capsys):
     code, pieces = _pieces(line, claims)
     assert main(shlex.split(line, comments=True)[1:]) == code
     captured = capsys.readouterr()
     for piece in pieces:
         assert _appears(piece, captured.out + captured.err), piece
+
+
+def test_the_pipeline_examples_are_found():
+    assert len(PIPELINE_CASES) >= 1
+    assert all("theorem-3-1" in line for line, _ in PIPELINE_CASES)
+
+
+@pytest.mark.parametrize("line,claims", PIPELINE_CASES,
+                         ids=[f"{i}-verify" for i in range(len(PIPELINE_CASES))])
+def test_a_pipeline_example_does_what_it_says(line, claims, capsys):
+    _check_example(line, claims, capsys)

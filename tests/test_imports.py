@@ -3,9 +3,10 @@ module-level private name and UPPER_CASE constant is read somewhere in the
 package, the one chain rule of the package is the only map evaluation
 inside a handle, only the CLI reads a clock, one function iterates
 Aberth sweeps, with no ``np.polyval`` anywhere, one function walks the
-radii of a valence scan, one function works out its jitter ladders, and
-one function writes a failing suite case, with no suite case numbered by
-a literal and none built outside it.
+radii of a valence scan, one function works out its jitter ladders, one
+function writes a failing suite case, with no suite case numbered by a
+literal and none built outside it, and the derivative stage of theorem 3.1
+reads no structure of its candidate and runs no census and no grid.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -252,6 +253,34 @@ def test_one_function_writes_a_failing_case_and_no_suite_numbers_one():
     assert literal_case_numbers((PACKAGE / "verifier.py").read_text()) == []
     # and it is the one function that adds a case to a suite or writes a case number
     assert case_writers((PACKAGE / "verifier.py").read_text()) == ["_case", "_case"]
+
+
+# a handle's structure, the critical-point census and the |f'| grid
+FORKS = ("blaschke", "blaschke_critical_points", "_derivative_floor", "derivative_grid",
+         "min_abs_derivative", "DERIVATIVE_GRID_RADIUS", "DERIVATIVE_GRID_RADII",
+         "DERIVATIVE_GRID_ANGLES")
+
+
+def fork_reads(source: str, function: str) -> list | None:
+    """The names of FORKS that the module-level function (or method)
+    ``function`` reads, or None when there is no such function."""
+    tops = [top for top in top_functions(ast.parse(source)) if top.name == function]
+    return sorted(name for top in tops for name in FORKS if reads(top, name)) if tops else None
+
+
+def test_the_check_sees_a_structure_fork_a_census_and_a_grid():
+    source = ("def check(c):\n    b = c.blaschke\n"
+              "    return blaschke_critical_points(b), verifier.min_abs_derivative(c)\n"
+              "def other(c):\n    return derivative_grid(), _derivative_floor(c, 0)\n")
+    assert fork_reads(source, "check") == ["blaschke", "blaschke_critical_points",
+                                           "min_abs_derivative"]
+    assert fork_reads(source, "other") == ["_derivative_floor", "derivative_grid"]
+    assert fork_reads(source, "missing") is None
+
+
+def test_theorem_3_1_has_one_derivative_rule():
+    # every candidate's critical points are counted by the winding of f'
+    assert fork_reads((PACKAGE / "verifier.py").read_text(), "check_theorem_3_1") == []
 
 
 def unread_private_names(sources: dict) -> list:

@@ -21,6 +21,7 @@ from blaschke_lab.maps import (
     DiscMapHandle,
     MobiusAutomorphism,
     blaschke_handle,
+    compose_handles,
     mobius_handle,
     opaque,
 )
@@ -32,9 +33,7 @@ from blaschke_lab.verifier import (
     check_theorem_B,
     check_theorem_C,
     demo_hurwitz_escape,
-    derivative_grid,
     hurwitz_table_csv,
-    min_abs_derivative,
     report_jsonl,
 )
 
@@ -133,7 +132,7 @@ FAILING_CHECK = {
     "slit_collision_pair": (lambda: check_theorem_3_2(2, 0, 50, 3), ["non-injectivity"]),
     "power_preimages": (lambda: check_theorem_3_2(3, 0, 50, 3), ["non-injectivity"]),
     "_slit_h_vec": (lambda: check_theorem_3_2(2, 0, 50, 3), ["roundtrip", "membership"]),
-    "min_abs_derivative": (lambda: check_theorem_3_2(2, 0, 50, 3), ["derivative-floor"]),
+    "_derivative_floor": (lambda: check_theorem_3_2(2, 0, 50, 3), ["derivative-floor"]),
 }
 
 
@@ -245,14 +244,15 @@ def test_pipeline_verdict_not_an_automorphism():
 
 
 def test_pipeline_verdict_vanishing_derivative():
-    a = complex(derivative_grid()[1234])
+    # a double zero of f is a zero of f'
+    a = -0.05210580525350462 - 0.11073047261316034j
     double = blaschke_handle(BlaschkeProduct(lam=1 + 0j, zeros=(a, a)))
     verdict = check_theorem_3_1(double, valence_bound=2)
     assert verdict.verdict == "vanishing-derivative"
-    # a candidate without structure is judged by the derivative grid
+    # a candidate without structure gets the same count of the zeros of f'
     verdict = check_theorem_3_1(opaque(double), valence_bound=2)
     assert verdict.verdict == "vanishing-derivative"
-    assert verdict.detail == "min |f'| on the probe grid is 0.000e+00"
+    assert verdict.detail == "f' has 1 zeros in |z| < 0.999938964844"
 
 
 # a degree-2 product whose one critical point falls between the points of
@@ -263,10 +263,7 @@ DEGREE_TWO = BlaschkeProduct(lam=1 + 0j, zeros=(0.3 + 0.1j, -0.2 + 0.4j))
 def test_pipeline_names_the_critical_point_of_a_blaschke_candidate():
     verdict = check_theorem_3_1(blaschke_handle(DEGREE_TWO), valence_bound=2)
     assert verdict.verdict == "vanishing-derivative"
-    assert verdict.detail == ("f' vanishes at the critical point 0.032369+0.237374i, "
-                              "where |f'| = 4.3e-17")
-    # the grid alone misses it
-    assert min_abs_derivative(blaschke_handle(DEGREE_TWO)) > verifier.DERIVATIVE_FLOOR
+    assert verdict.detail == "f' has 1 zeros in |z| < 0.999938964844"
 
 
 def test_pipeline_reports_a_valence_above_the_bound_with_its_profile():
@@ -296,17 +293,53 @@ def test_a_failing_census_still_gives_a_vanishing_derivative(monkeypatch):
     degree_12 = blaschke_handle(verifier._random_blaschke(np.random.default_rng(1), 12))
     verdict = check_theorem_3_1(degree_12, valence_bound=12)
     assert verdict.verdict == "vanishing-derivative"
-    assert verdict.detail.startswith("a degree-12 Blaschke product has n - 1 = 11 critical "
-                                     "points; the census that names them failed: ")
+    assert verdict.detail == "f' has 11 zeros in |z| < 0.999938964844"
 
     def failing(b):
         raise SolverFailure("census did not converge")
 
+    # the pipeline counts the critical points and runs no census
     monkeypatch.setattr(verifier, "blaschke_critical_points", failing)
     verdict = check_theorem_3_1(blaschke_handle(DEGREE_TWO), valence_bound=2)
     assert verdict.verdict == "vanishing-derivative"
-    assert verdict.detail.endswith("1 critical points; the census that names them failed: "
-                                   "census did not converge")
+    assert verdict.detail == "f' has 1 zeros in |z| < 0.999938964844"
+
+
+def test_no_opaque_product_is_a_counterexample_to_theorem_3_1():
+    # inner maps of bounded valence with no structure to read: the count of
+    # the zeros of f' finds the n - 1 critical points of each product of
+    # degree n, where a grid of |f'| found none, and none of an automorphism
+    rng = np.random.default_rng(11)
+
+    def product(degree, radius):
+        zeros = tuple(verifier._sample_disc(rng, radius) for _ in range(degree))
+        return blaschke_handle(BlaschkeProduct(lam=cmath.exp(2j * math.pi * rng.uniform()),
+                                               zeros=zeros))
+
+    def mobius():
+        return mobius_handle(MobiusAutomorphism(alpha=verifier._sample_disc(rng, 0.9),
+                                                lam=cmath.exp(2j * math.pi * rng.uniform())))
+
+    candidates = [(product(n, radius), n) for radius in (0.9, 0.99) for n in range(2, 9)]
+    candidates += [(compose_handles(mobius(), product(2, 0.9)), 2) for _ in range(2)]
+    verdicts = [check_theorem_3_1(opaque(f), valence_bound=n) for f, n in candidates]
+    assert [(v.verdict, v.detail.partition(" in ")[0]) for v in verdicts] == \
+        [("vanishing-derivative", f"f' has {n - 1} zeros") for _, n in candidates]
+    assert [check_theorem_3_1(opaque(mobius())).verdict for _ in range(2)] == \
+        ["automorphism"] * 2
+
+
+def test_a_count_of_the_zeros_of_f_prime_that_fails_gives_a_vanishing_derivative(monkeypatch):
+    class Failing(valence.DerivativeView):
+        def eval_many(self, z):
+            raise DomainError("f' is not finite")
+
+    monkeypatch.setattr(verifier, "DerivativeView", Failing)
+    # the stage cannot show that f' has no zero, so even an automorphism fails it
+    verdict = check_theorem_3_1(OPAQUE_MOBIUS)
+    assert verdict.verdict == "vanishing-derivative"
+    assert verdict.detail == ("counting the zeros of f' in |z| < 0.999938964844 failed: "
+                              "f' is not finite")
 
 
 def test_pipeline_verdict_valence_scan_error():
@@ -327,17 +360,6 @@ def test_boundary_modulus_separates_classes():
     assert boundary_mean(make_scaled_exponential()) < 1e-5
     s_mean = boundary_mean(make_atomic_inner())
     assert 0.0 < s_mean < 1.0
-
-
-def test_derivative_grid_shape():
-    grid = derivative_grid()
-    assert grid.size == 10000
-    import numpy as np
-    assert float(np.max(np.abs(grid))) < 0.999
-
-
-def test_min_derivative_mobius_large():
-    assert min_abs_derivative(OPAQUE_MOBIUS) > 0.1
 
 
 def test_theorem_3_2_small():
