@@ -26,7 +26,7 @@ def make_half_map() -> DiscMapHandle:
     def fn(z):
         return 0.5 * z, np.full_like(z, 0.5)
 
-    return DiscMapHandle(fn, "half", spec={"type": "gallery", "name": "half"}, inner=False)
+    return DiscMapHandle(fn, "half", spec={"type": "gallery", "name": "half"}, not_inner=True)
 
 
 def make_scaled_exponential(epsilon: float = 1e-10, c: float = 10.0) -> DiscMapHandle:
@@ -48,7 +48,7 @@ def make_scaled_exponential(epsilon: float = 1e-10, c: float = 10.0) -> DiscMapH
             "params": {"epsilon": epsilon, "c": c}}
     # |f| = epsilon e^{c cos t} < 1 on the circle
     return DiscMapHandle(fn, f"scaled-exp(epsilon={epsilon:g}, c={c:g})", spec=spec,
-                         inner=False)
+                         not_inner=True)
 
 
 def _branch_hits(branch, radius: float) -> list:
@@ -119,7 +119,7 @@ def slit_h(z: complex) -> complex:
 def make_slit_map() -> DiscMapHandle:
     # an arc of the circle goes onto the slit, where |g| < 1
     return DiscMapHandle(_slit_g_vec, "slit-g",
-                         spec={"type": "gallery", "name": "slit-g"}, inner=False)
+                         spec={"type": "gallery", "name": "slit-g"}, not_inner=True)
 
 
 def slit_distance(z: complex) -> float:
@@ -179,8 +179,7 @@ def make_atomic_inner() -> DiscMapHandle:
         v = np.exp(ratio)
         return v, -2.0 / (z - 1.0) ** 2 * v
 
-    return DiscMapHandle(fn, "atomic-inner",
-                         spec={"type": "gallery", "name": "atomic-inner"}, inner=True)
+    return DiscMapHandle(fn, "atomic-inner", spec={"type": "gallery", "name": "atomic-inner"})
 
 
 def atomic_preimage_count(r: float, w: complex = math.exp(-1)) -> int:
@@ -216,8 +215,7 @@ def frostman_shift(base: DiscMapHandle, a: complex = 0j) -> DiscMapHandle:
 
     spec = None if base.spec is None else {
         "type": "gallery", "name": "frostman", "params": {"base": base.spec, "a": [a.real, a.imag]}}
-    return replace(compose_handles(DiscMapHandle(shift, f"shift(a={a:.4g})", inner=True),
-                                   base),
+    return replace(compose_handles(DiscMapHandle(shift, f"shift(a={a:.4g})"), base),
                    descriptor=f"frostman(a={a:.4g}, base={base.descriptor})", spec=spec)
 
 
@@ -244,4 +242,4 @@ def make_limit_of_escape() -> DiscMapHandle:
     def fn(z):
         return -z, np.full_like(z, -1.0)
 
-    return DiscMapHandle(fn, "limit(-z)", inner=True)
+    return DiscMapHandle(fn, "limit(-z)")

@@ -26,7 +26,6 @@ from .numerics import (
     Polynomial,
     RootSet,
     _aberth_stack,
-    _convolve,
     aberth_roots,
     poly_from_roots,
     poly_mul,
@@ -101,16 +100,16 @@ class DiscMapHandle:
 
     ``fn`` must accept a complex ndarray and return (values, derivatives)
     ndarrays.  Every evaluation is spot-checked: an interior point with
-    |f(z)| >= 1 raises a diagnostic.  ``inner`` says whether the map is
-    inner by its construction: True, False, or None when that is unknown.
-    Handles compare and hash by identity.
+    |f(z)| >= 1 raises a diagnostic.  ``not_inner`` is True only for a map
+    known by its construction not to be inner.  Handles compare and hash by
+    identity.
     """
 
     fn: Callable
     descriptor: str
     blaschke: BlaschkeProduct | None = None
     spec: dict | None = None
-    inner: bool | None = None
+    not_inner: bool = False
 
     def __repr__(self):
         return f"DiscMapHandle({self.descriptor})"
@@ -188,9 +187,7 @@ def blaschke_eval(b: BlaschkeProduct, z: complex):
 
 def _blaschke_polynomial_pair(b: BlaschkeProduct):
     """Numerator lam * prod(z - a_j) and denominator prod(1 - conj(a_j) z)."""
-    den = (1.0 + 0j,)
-    for a in b.zeros:
-        den = _convolve(den, (1.0 + 0j, -a.conjugate()))
+    den = poly_from_roots([a.conjugate() for a in b.zeros], 1.0 + 0j).coeffs[::-1]
     return poly_from_roots(b.zeros, b.lam), Polynomial(den)
 
 
@@ -392,7 +389,7 @@ def blaschke_handle(b: BlaschkeProduct) -> DiscMapHandle:
     spec = {"type": "blaschke", "lambda": [b.lam.real, b.lam.imag],
             "zeros": [[a.real, a.imag] for a in b.zeros]}
     return DiscMapHandle(_blaschke_evaluator(b), f"blaschke(degree={b.degree})",
-                         blaschke=b, spec=spec, inner=True)
+                         blaschke=b, spec=spec)
 
 
 def identity_handle() -> DiscMapHandle:
@@ -408,10 +405,10 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
     else the package's one chain rule, on ``outer.fn`` unchecked: the result's
     own ``eval_many`` checks the outer values at every interior z.
 
-    It is not inner after a map that is not: where inner's boundary values
-    stay in the open disc, so do outer's images of them.  After a non-constant
-    inner map it is inner exactly when outer is: that boundary map keeps the
-    null sets of arc length.  Otherwise it is unknown.
+    It is not inner when either map is not.  Where inner's boundary values
+    stay in the open disc, so do outer's images of them; and an inner map's
+    boundary map keeps the null sets of arc length, so it cannot hide the
+    arcs where outer's boundary values stay inside.
     """
     if _degree(outer) and _degree(inner):
         return blaschke_handle(blaschke_compose(outer.blaschke, inner.blaschke))
@@ -421,13 +418,8 @@ def compose_handles(outer: DiscMapHandle, inner: DiscMapHandle) -> DiscMapHandle
         outer_v, outer_d = outer.fn(inner_v)
         return outer_v, outer_d * inner_d
 
-    if inner.inner is False:
-        flag = False
-    elif inner.inner and _degree(inner) != 0:
-        flag = outer.inner
-    else:
-        flag = None
-    return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})", inner=flag)
+    return DiscMapHandle(fn, f"({outer.descriptor} o {inner.descriptor})",
+                         not_inner=outer.not_inner or inner.not_inner)
 
 
 def opaque(handle: DiscMapHandle) -> DiscMapHandle:

@@ -274,11 +274,6 @@ def _root_set(p: Polynomial, iterates: np.ndarray, settled: bool) -> RootSet:
         at = np.array(roots, dtype=complex)
         values = _horner(_horner_terms(coeffs), at[None])[0][0]
         residuals = tuple(abs(v) for v in values.tolist())
-
-        if sum(mults) != p.degree:
-            raise SolverFailure(
-                f"root multiplicities sum to {sum(mults)}, expected {p.degree}",
-                best=roots, residuals=residuals)
         judged = np.array(residuals)
         far = np.abs(at) > 1.0
         if far.any():

@@ -277,10 +277,11 @@ def _check_valence_bound(valence_bound):
 
 def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> PipelineVerdict:
     """Certification pipeline: boundary-modulus diagnostic, the handle's own
-    ``inner`` flag, bounded valence, nowhere-vanishing derivative, then
+    ``not_inner`` bit, bounded valence, nowhere-vanishing derivative, then
     automorphism recovery.
 
-    Each stage failure is a distinct verdict, never an exception.  The
+    Each stage failure is a distinct verdict, never an exception.  A map
+    whose ``not_inner`` bit is set gets ``not-inner`` whatever its mean.  The
     valence stage attaches a growth profile at the radii (0.9, 0.99, 0.999)
     for the probe target f(0) when it fails.  For every candidate the
     derivative stage counts the zeros of f' inside the largest radius the
@@ -294,7 +295,7 @@ def check_theorem_3_1(candidate: DiscMapHandle, valence_bound: int = 1) -> Pipel
         return PipelineVerdict(
             verdict="not-inner", boundary_mean=mean,
             detail=f"mean boundary modulus {mean:.4f} <= {INNER_MEAN_THRESHOLD}")
-    if candidate.inner is False:
+    if candidate.not_inner:
         return PipelineVerdict(
             verdict="not-inner", boundary_mean=mean,
             detail=f"{candidate.descriptor} is not inner by construction, "

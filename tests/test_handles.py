@@ -61,7 +61,7 @@ def test_the_nodes_cover_every_node_type():
 def test_handles_are_frozen_and_compare_by_identity(build):
     handle = build()
     assert isinstance(handle, DiscMapHandle)
-    for name in ("fn", "descriptor", "spec", "blaschke", "inner"):
+    for name in ("fn", "descriptor", "spec", "blaschke", "not_inner"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(handle, name, getattr(handle, name))
     twin = dataclasses.replace(handle)
@@ -93,20 +93,19 @@ def test_the_theorem_3_1_candidate_record_echoes_the_spec(capsys):
     assert '"candidate":{"alpha":[0,0],"lambda":[1,0],"type":"mobius"}' in record
 
 
-# the gallery's inner flags; a Frostman shift keeps its base's flag
-GALLERY_INNER = {"half": False, "scaled-exp": False, "slit-g": False, "slit-power": False,
-                 "atomic-inner": True, "escape": True}
+# the gallery maps known not to be inner; a Frostman shift keeps its base's bit
+GALLERY_NOT_INNER = {"half", "scaled-exp", "slit-g", "slit-power"}
 
 
 def test_every_gallery_constructor_sets_the_inner_flag():
-    assert set(GALLERY_INNER) | {"frostman"} == set(GALLERY)
+    assert GALLERY_NOT_INNER < set(GALLERY)
     for name, (factory, _) in GALLERY.items():
         if name == "frostman":
             for base in (make_half_map(), make_atomic_inner()):
-                assert factory(base=base, a=0.5j).inner is base.inner
+                assert factory(base=base, a=0.5j).not_inner is base.not_inner
         else:
-            assert factory().inner is GALLERY_INNER[name], name
-    assert make_limit_of_escape().inner is True
+            assert factory().not_inner is (name in GALLERY_NOT_INNER), name
+    assert make_limit_of_escape().not_inner is False
 
 
 SQUARE = blaschke_handle(BlaschkeProduct(lam=1.0 + 0j, zeros=(0j, 0j)))
@@ -114,24 +113,25 @@ UNIMODULAR = blaschke_handle(BlaschkeProduct(lam=1j, zeros=()))
 SHIFT = mobius_handle(MobiusAutomorphism(alpha=0.5 + 0j, lam=1.0 + 0j))
 
 
-@pytest.mark.parametrize("outer, inner, flag", [
-    (SQUARE, SHIFT, True),                   # two Blaschke products
-    (SQUARE, make_atomic_inner(), True),     # after an inner map, the outer's flag
-    (make_half_map(), make_atomic_inner(), False),
-    (SHIFT, make_half_map(), False),         # an automorphism keeps the inner's flag
-    (SHIFT, make_atomic_inner(), True),
-    (SHIFT, opaque(SQUARE), None),
-    (make_atomic_inner(), make_half_map(), False),  # after a non-inner map, not inner
-    (make_half_map(), opaque(SQUARE), None),
-    (make_half_map(), UNIMODULAR, None),     # after a constant, nothing follows
+@pytest.mark.parametrize("outer, inner, bit", [
+    (SQUARE, SHIFT, False),                  # two Blaschke products
+    (SQUARE, make_atomic_inner(), False),
+    (make_half_map(), make_atomic_inner(), True),   # a non-inner outer map
+    (SHIFT, make_half_map(), True),          # a non-inner inner map
+    (SHIFT, make_atomic_inner(), False),
+    (SHIFT, opaque(SQUARE), False),
+    (make_atomic_inner(), make_half_map(), True),
+    (make_half_map(), opaque(SQUARE), True),
+    (make_half_map(), UNIMODULAR, True),     # after a constant too
 ], ids=["blaschke", "inner-outer", "half-outer", "shift-half", "shift-atomic",
         "shift-opaque", "after-half", "after-opaque", "after-constant"])
-def test_compose_handles_sets_the_inner_flag_by_structure(outer, inner, flag):
-    assert compose_handles(outer, inner).inner is flag
+def test_compose_handles_sets_the_inner_flag_by_structure(outer, inner, bit):
+    # not inner when either map is not
+    assert compose_handles(outer, inner).not_inner is bit
 
 
 def test_opaque_and_plain_handles_do_not_know_whether_they_are_inner():
-    assert opaque(SQUARE).inner is None
-    assert DiscMapHandle(SQUARE.fn, "plain").inner is None
-    assert parse_map_spec(BLASCHKE).inner is True
-    assert parse_map_spec(NODES["compose-generic"]).inner is False
+    assert opaque(SQUARE).not_inner is False
+    assert DiscMapHandle(SQUARE.fn, "plain").not_inner is False
+    assert parse_map_spec(BLASCHKE).not_inner is False
+    assert parse_map_spec(NODES["compose-generic"]).not_inner is True

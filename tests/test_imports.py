@@ -2,11 +2,12 @@
 module-level private name and UPPER_CASE constant is read somewhere in the
 package, the one chain rule of the package is the only map evaluation
 inside a handle, only the CLI reads a clock, one function iterates
-Aberth sweeps, with no ``np.polyval`` anywhere, one function walks the
-radii of a valence scan, one function works out its jitter ladders, one
-function writes a failing suite case, with no suite case numbered by a
-literal and none built outside it, and the derivative stage of theorem 3.1
-reads no structure of its candidate and runs no census and no grid.
+Aberth sweeps, with no ``np.polyval`` anywhere, only the polynomial layer
+calls ``_convolve``, one function walks the radii of a valence scan, one
+function works out its jitter ladders, one function writes a failing
+suite case, with no suite case numbered by a literal and none built
+outside it, and the derivative stage of theorem 3.1 reads no structure of
+its candidate and runs no census and no grid.
 
 No linter ships with the project, so the checks read the modules' syntax
 trees with the standard library.  ``__init__`` is left out of the import
@@ -143,6 +144,30 @@ def test_one_function_iterates_aberth_sweeps_and_none_calls_polyval():
     assert loops == ["numerics.py:_aberth_sweeps"]
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if reads(ast.parse(path.read_text()), "polyval")] == []
+
+
+def callers(source: str, name: str) -> list:
+    """The function (or method) around each call of ``name``, bare or as an
+    attribute."""
+    return sorted(top.name for top in top_functions(ast.parse(source))
+                  for call in ast.walk(top) if isinstance(call, ast.Call)
+                  and (isinstance(call.func, ast.Name) and call.func.id == name
+                       or isinstance(call.func, ast.Attribute) and call.func.attr == name))
+
+
+def test_the_check_sees_a_call():
+    source = ("from .numerics import _convolve\n"
+              "def pair(b):\n    return _convolve((1,), numerics._convolve((1,), (2,)))\n"
+              "class P:\n    def mul(self, q):\n        return _convolve(self.c, q.c)\n"
+              "def fine(b):\n    return _convolve, convolve((1,), (2,))\n")
+    assert callers(source, "_convolve") == ["mul", "pair", "pair"]
+
+
+def test_only_the_polynomial_layer_convolves():
+    # one place expands a polynomial from its factors: poly_from_roots
+    modules = {module for module in MODULES
+               if callers((PACKAGE / module).read_text(), "_convolve")}
+    assert modules == {"numerics.py"}
 
 
 def stop_rule_loops(source: str) -> list:

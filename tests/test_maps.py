@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from blaschke_lab import verifier
 from blaschke_lab.errors import (
+    BlaschkeLabError,
     BoundaryAmbiguityError,
     DiscPreservationError,
     NotAnAutomorphismError,
@@ -374,6 +376,32 @@ def test_critical_census_random_degrees():
         b = random_blaschke(rng, degree=deg, max_degree=6)
         census = blaschke_critical_points(b)
         assert census.total_multiplicity == deg - 1
+
+
+def crowded_product():
+    """The degree-31 product of ROADMAP item 1, whose zeros crowd the circle."""
+    rng = np.random.default_rng(3)
+    n = int(rng.integers(12, 36))
+    mods = np.minimum(np.sort(1 - np.exp(-rng.uniform(0.5, 26, n))), 1 - 2e-12)
+    zeros = tuple(complex(m * cmath.exp(2j * math.pi * rng.random())) for m in mods)
+    return BlaschkeProduct(1 + 0j, zeros)
+
+
+def test_the_critical_census_never_returns_a_wrong_count():
+    # a contract, not a pin: a census may fail with a typed error, but what it
+    # returns is every critical point in the disc (at degree 12 and 31 about
+    # half the censuses fail today; a better solver may fail fewer)
+    products = [verifier._random_blaschke(np.random.default_rng(s), 12) for s in range(40)]
+    wrong = []
+    for b in products + [crowded_product()]:
+        try:
+            census = blaschke_critical_points(b)
+        except BlaschkeLabError:
+            continue
+        if census.total_multiplicity != b.degree - 1 or any(
+                abs(r) >= 1 or abs(blaschke_eval(b, r)[1]) > 1e-6 for r in census.roots):
+            wrong.append((b, census))
+    assert wrong == []
 
 
 def test_critical_reflection_symmetry():

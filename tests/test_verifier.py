@@ -209,6 +209,16 @@ def test_pipeline_finds_a_frostman_shift_of_the_half_map_not_inner(a):
         assert "is not inner by construction" in verdict.detail
 
 
+@pytest.mark.parametrize("alpha", [0, 0.05, -0.1j, 0.2 + 0.1j])
+def test_a_non_inner_map_after_an_opaque_automorphism_is_not_inner(alpha):
+    # the opaque map carries no structure, but the outer map is not inner,
+    # so neither is the composition: not a counterexample to theorem 3.1
+    shift = opaque(mobius_handle(MobiusAutomorphism(alpha=alpha, lam=1)))
+    verdict = check_theorem_3_1(compose_handles(frostman_shift(make_half_map(), 0.995), shift))
+    assert verdict.verdict == "not-inner"
+    assert "is not inner by construction" in verdict.detail
+
+
 def test_pipeline_reports_the_structure_of_a_map_that_passes_the_mean_test(capsys):
     spec = ('{"type":"gallery","name":"frostman","params":{"base":'
             '{"type":"gallery","name":"half"},"a":[0.99,0]}}')
